@@ -145,11 +145,10 @@ type Config struct {
 	// present clients leave and absent ones (re)join as pure functions
 	// of (plan seed, round, client), so membership can grow and shrink
 	// mid-run without consuming any simulator RNG. An absent client's
-	// state (its RNG, private rows and last-received snapshot) is
-	// frozen; a rejoiner resumes from that stale snapshot — it
-	// downloads the current global model like everyone else, but its
-	// never-shared private rows are as old as its departure. nil (or a
-	// disabled plan) is byte-identical to no churn at all.
+	// state (its RNG and private rows) is frozen: a rejoiner downloads
+	// the current global model like everyone else, but its never-shared
+	// private rows are as old as its departure. nil (or a disabled plan)
+	// is byte-identical to no churn at all.
 	ChurnPlan *transport.ChurnPlan
 	// Byzantine, when non-nil with Fraction > 0, turns a deterministic
 	// subset of clients into active adversaries that corrupt every
@@ -247,9 +246,6 @@ type clientState struct {
 	// privateRows maps private entry name → the client's own row.
 	// Empty until first populated; absent entries mean "use global".
 	privateRows map[string][]float64
-	// lastReceived is the payload the client installed most recently
-	// (the Share-less drift reference).
-	lastReceived *param.Set
 }
 
 // Traffic is the client → server upload accounting, mirrored from the
@@ -276,6 +272,7 @@ type Simulation struct {
 
 	workers   int
 	scratches []model.Recommender // per-worker client workspaces
+	received  []*param.Set        // per-worker snapshot of the installed model
 	pool      param.Buffers       // payload free-list
 	payloads  []*param.Set        // per-round payload staging, by sample index
 	dropped   []bool              // per-round dropout decisions, by sample index
@@ -473,6 +470,7 @@ func New(cfg Config) (*Simulation, error) {
 	// feeding per-(round, user) counter-derived streams.
 	s.eval = model.NewEval(cfg.Dataset, s.workers, cfg.Seed^0xabcdef)
 	s.evalPrev = make([]int, len(s.scratches))
+	s.received = make([]*param.Set, len(s.scratches))
 	for u := range s.clients {
 		s.clients[u] = clientState{
 			rng:         mathx.Split(rng),
@@ -732,24 +730,28 @@ func (s *Simulation) clientRound(round, u, w int, m model.Recommender, bcast tra
 		return nil
 	}
 	s.installPrivateRows(m, u)
-	st.lastReceived = m.Params().CloneInto(st.lastReceived)
+	// The model as installed, before training: the Share-less drift
+	// reference, the DP-SGD/top-k delta base and the Byzantine
+	// reflection point. Only read within this call, so one snapshot per
+	// worker suffices.
+	received := m.Params().CloneInto(s.received[w])
+	s.received[w] = received
 
-	prev := st.lastReceived // pre-training snapshot (same values)
 	opt := s.cfg.Train
 	opt.Rand = st.rng
-	s.cfg.Policy.PrepareTrain(&opt, m, st.lastReceived)
+	s.cfg.Policy.PrepareTrain(&opt, m, received)
 	trainStart := s.cfg.Tracer.Start()
 	m.TrainLocal(s.cfg.Dataset, u, opt)
 	s.cfg.Tracer.Span(w, obs.PhaseTrain, round, u, trainStart)
 
 	s.capturePrivateRows(m, u)
-	payload := s.cfg.Policy.Outgoing(m, prev, st.rng, &s.pool)
+	payload := s.cfg.Policy.Outgoing(m, received, st.rng, &s.pool)
 	if s.cfg.Byzantine != nil && s.cfg.Byzantine.IsAdversary(u) {
 		// Active adversary: corrupt the outgoing payload in place,
 		// reflecting around / echoing the model this client received.
 		// Deterministic (counter-based streams only) and applied before
 		// the transport, so the Observer sees the corrupted upload.
-		s.cfg.Byzantine.Corrupt(round, u, payload, st.lastReceived)
+		s.cfg.Byzantine.Corrupt(round, u, payload, received)
 		s.byzantineUploads.Add(1)
 	}
 	return payload
