@@ -2,7 +2,7 @@ GO ?= go
 # benchstat needs several samples per benchmark to compute intervals.
 BENCH_COUNT ?= 6
 
-.PHONY: all build vet lint test race fuzz chaos bench bench-tables bench-compare
+.PHONY: all build vet lint test race fuzz chaos bench bench-tables bench-compare perfbench
 
 all: lint build test
 
@@ -69,6 +69,11 @@ bench:
 	$(GO) test -run='^$$' -count=$(BENCH_COUNT) -benchmem \
 		-bench='BenchmarkFedRound|BenchmarkObsOverhead|BenchmarkGossipCycle|BenchmarkParamClone|BenchmarkUtilityHR|BenchmarkUtilityF1|BenchmarkFedAggregate|BenchmarkWireRound|BenchmarkSocketRound|BenchmarkScoreItems|BenchmarkCodecThroughput' \
 		./internal/fed/ ./internal/gossip/ ./internal/param/ ./internal/model/
+
+# End-to-end repository benchmark: the workloads and metrics declared
+# in BENCHMARK.json (see perfbench/run.sh for its options).
+perfbench:
+	bash perfbench/run.sh
 
 # Full paper-table reproduction pass (one iteration per table).
 bench-tables:

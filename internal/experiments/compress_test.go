@@ -53,8 +53,8 @@ func compressionOffFedRun(t *testing.T, backend string, workers int) (string, tr
 
 // TestCompressionOffByteIdentical pins the compression-off contract:
 // threading a zero Compression through transport.Options must leave
-// every run byte-identical to the pre-codec dense path — the same
-// golden hashes, on every backend, at every worker count — and must
+// every run byte-identical to the dense golden run — the same golden
+// hashes, on every backend, at every worker count — and must
 // not engage the codec's raw-vs-moved accounting (RawBytes == Bytes).
 func TestCompressionOffByteIdentical(t *testing.T) {
 	type cell struct {
@@ -83,9 +83,8 @@ func TestCompressionOffByteIdentical(t *testing.T) {
 		}
 	}
 
-	// The golden file's dense fed hashes were recorded before the codec
-	// layer existed (and re-verified since); compression off must still
-	// land exactly on them. Architecture-gated like TestGoldenDeterminism.
+	// Compression off must land exactly on the golden file's dense fed
+	// hashes. Architecture-gated like TestGoldenDeterminism.
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden hashes are recorded on amd64; GOARCH=%s may round differently", runtime.GOARCH)
 	}

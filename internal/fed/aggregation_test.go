@@ -8,6 +8,26 @@ import (
 	"github.com/collablearn/ciarec/internal/model"
 )
 
+// foldUploads runs one aggregation through the round's fold, the only
+// path from an arrival to the global model: each upload is handed over
+// as its sender's arrival (the fold takes ownership and recycles it,
+// as it does a transport's), the arrivals resolve in reverse order to
+// exercise the fold's reordering, and the fold is finished. Weights are
+// the senders' train sizes, as in a real round.
+func foldUploads(s *Simulation, uploads []upload) {
+	sampled := make([]int, len(uploads))
+	s.payloads = s.payloads[:0]
+	for i, up := range uploads {
+		sampled[i] = up.from
+		s.payloads = append(s.payloads, up.payload)
+	}
+	f := s.startFold(s.round, sampled)
+	for i := len(uploads) - 1; i >= 0; i-- {
+		f.resolve(i)
+	}
+	s.finishFold(f)
+}
+
 // Hand-crafted aggregation check: with two uploads of known values and
 // known weights, every shared entry must land exactly on the
 // weighted-delta FedAvg result, while user-embedding rows route from
@@ -42,9 +62,9 @@ func TestAggregateWeightedDeltaMath(t *testing.T) {
 		up1.Get(model.GMFUserEmb)[i] = 200
 	}
 
-	s.aggregate([]upload{
-		{from: 0, payload: up0, weight: 2}, // user 0 has 2 items
-		{from: 1, payload: up1, weight: 1}, // user 1 has 1 item
+	foldUploads(s, []upload{
+		{from: 0, payload: up0}, // user 0 has 2 items: weight 2
+		{from: 1, payload: up1}, // user 1 has 1 item: weight 1
 	})
 
 	// h entry: delta = (2/3)*1 + (1/3)*3 = 5/3.
@@ -88,7 +108,7 @@ func TestAggregateSkipsMissingEntries(t *testing.T) {
 	for i := range partial.Get(model.GMFItemEmb) {
 		partial.Get(model.GMFItemEmb)[i] += 2
 	}
-	s.aggregate([]upload{{from: 0, payload: partial, weight: 1}})
+	foldUploads(s, []upload{{from: 0, payload: partial}})
 
 	after := s.Global().Params()
 	for i, v := range after.Get(model.GMFUserEmb) {
@@ -124,7 +144,7 @@ func TestAggregateEmptyRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.Global().Params().Clone()
-	s.aggregate(nil)
+	foldUploads(s, nil)
 	if s.Global().Params().L2Norm() != before.L2Norm() {
 		t.Fatal("empty aggregation modified the global model")
 	}

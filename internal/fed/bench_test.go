@@ -164,7 +164,7 @@ func BenchmarkSocketRound(b *testing.B) {
 // BenchmarkFaultyRound prices the resilience layer: one full FedAvg
 // round behind the fault injector — every transfer pays the plan's
 // counter-based fault draws, plus straggler-deadline and quorum checks
-// in the sequential phase — against the plain inproc baseline. The
+// in the fold — against the plain inproc baseline. The
 // "clean" case runs an all-zero plan (the wrapper installed but every
 // probability off) to isolate the pure bookkeeping overhead; "chaos"
 // runs the default plan, where the work saved on lost transfers can
@@ -301,10 +301,11 @@ func BenchmarkUtilityF1(b *testing.B) {
 	}
 }
 
-// BenchmarkFedAggregate isolates the sharded weighted-delta FedAvg
-// reduce at a paper-ish catalogue size (2000 items × dim 16 ≈ 32k-
-// element item table, 40 full-model uploads), without the local
-// training that dominates BenchmarkFedRound.
+// BenchmarkFedAggregate isolates the round's FedAvg fold at a
+// paper-ish catalogue size (2000 items × dim 16 ≈ 32k-element item
+// table, 40 full-model uploads), without the local training that
+// dominates BenchmarkFedRound. Each iteration hands the fold 40 pooled
+// arrival copies, made outside the timer (a transport's decode).
 func BenchmarkFedAggregate(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -326,8 +327,8 @@ func BenchmarkFedAggregate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			uploads := make([]upload, d.NumUsers)
-			for u := range uploads {
+			sources := make([]*param.Set, d.NumUsers)
+			for u := range sources {
 				payload := s.Global().Params().Clone()
 				for _, name := range payload.Names() {
 					data := payload.Get(name)
@@ -335,12 +336,18 @@ func BenchmarkFedAggregate(b *testing.B) {
 						data[i] += float64(u+1) * 1e-4
 					}
 				}
-				uploads[u] = upload{from: u, payload: payload, weight: float64(1 + u%5)}
+				sources[u] = payload
 			}
+			uploads := make([]upload, d.NumUsers)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.aggregate(uploads)
+				b.StopTimer()
+				for u := range uploads {
+					uploads[u] = upload{from: u, payload: s.pool.Clone(sources[u])}
+				}
+				b.StartTimer()
+				foldUploads(s, uploads)
 			}
 		})
 	}

@@ -94,7 +94,7 @@ func TestUtilityIndependentOfEvalCadence(t *testing.T) {
 
 // shardTestSim builds a simulation whose item table spans several
 // reduce shards (600 items × 8 dims > 2 × aggShard).
-func shardTestSim(t *testing.T, workers int) *Simulation {
+func shardTestSim(t *testing.T, workers int, agg Aggregator) *Simulation {
 	t.Helper()
 	d, err := dataset.GenerateSynthetic(dataset.SyntheticConfig{
 		NumUsers: 12, NumItems: 600, NumCommunities: 3,
@@ -105,12 +105,13 @@ func shardTestSim(t *testing.T, workers int) *Simulation {
 	}
 	d.SplitLeaveOneOut(3)
 	s, err := New(Config{
-		Dataset: d,
-		Factory: model.NewGMFFactory(d.NumUsers, d.NumItems, 8),
-		Rounds:  1,
-		Train:   model.TrainOptions{Epochs: 1},
-		Workers: workers,
-		Seed:    3,
+		Dataset:    d,
+		Factory:    model.NewGMFFactory(d.NumUsers, d.NumItems, 8),
+		Rounds:     1,
+		Train:      model.TrainOptions{Epochs: 1},
+		Workers:    workers,
+		Aggregator: agg,
+		Seed:       3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,12 +119,21 @@ func shardTestSim(t *testing.T, workers int) *Simulation {
 	return s
 }
 
-// The sharded weighted-delta reduce must be byte-identical to the
-// serial reduce, including with partial (Share-less-style) payloads
-// that skip entries.
+// The sharded robust reduce (aggregateRobust) must be byte-identical
+// to the serial reduce, including with partial (Share-less-style)
+// payloads that skip entries; the FedAvg fold, serial by design, must
+// not depend on the worker count either.
 func TestAggregateShardedEquivalence(t *testing.T) {
-	serial := shardTestSim(t, -1)
-	parallel := shardTestSim(t, 4)
+	for _, agg := range []Aggregator{AggFedAvg, AggMedian, AggTrimmedMean} {
+		t.Run(agg.String(), func(t *testing.T) {
+			testShardedEquivalence(t, agg)
+		})
+	}
+}
+
+func testShardedEquivalence(t *testing.T, agg Aggregator) {
+	serial := shardTestSim(t, -1, agg)
+	parallel := shardTestSim(t, 4, agg)
 	if !param.Equal(serial.Global().Params(), parallel.Global().Params(), 0) {
 		t.Fatal("sims start from different globals")
 	}
@@ -141,12 +151,12 @@ func TestAggregateShardedEquivalence(t *testing.T) {
 			if u%2 == 1 {
 				payload = payload.Without(model.GMFUserEmb)
 			}
-			ups = append(ups, upload{from: u, payload: payload, weight: float64(u + 1)})
+			ups = append(ups, upload{from: u, payload: payload})
 		}
 		return ups
 	}
-	serial.aggregate(buildUploads(serial))
-	parallel.aggregate(buildUploads(parallel))
+	foldUploads(serial, buildUploads(serial))
+	foldUploads(parallel, buildUploads(parallel))
 	if !param.Equal(serial.Global().Params(), parallel.Global().Params(), 0) {
 		t.Fatal("sharded reduce differs from serial reduce")
 	}

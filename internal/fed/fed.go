@@ -44,15 +44,13 @@ type Message struct {
 
 // Observer receives the traffic a server-side adversary can see.
 // msg.Params is only valid for the duration of the OnUpload call: the
-// simulator recycles payload storage once the round that produced it
-// is aggregated, so implementations must clone anything they retain.
-// Calls are never concurrent and always arrive in the round's sampling
+// simulator recycles payload storage as soon as the upload is folded,
+// so implementations must clone anything they retain. OnUpload fires
+// from the round's streaming-fold goroutine, in the round's sampling
 // order (ascending client index under full participation; the
-// sampler's draw order under ClientFraction < 1) — identical for every
-// Workers setting. On an uncompressed transport all calls come from
-// the goroutine running the simulation; on a compressed transport
-// OnUpload fires from the round's streaming-fold goroutine, still
-// strictly ordered before the same round's OnRoundEnd.
+// sampler's draw order under ClientFraction < 1) whatever the Workers
+// setting, and strictly before the same round's OnRoundEnd. Calls are
+// never concurrent.
 type Observer interface {
 	// OnUpload is called for every client upload, before aggregation.
 	OnUpload(msg Message)
@@ -82,13 +80,13 @@ type Config struct {
 	Train model.TrainOptions
 
 	// Workers bounds the number of goroutines running per-client local
-	// training, the sharded FedAvg reduce and the UtilityHR/UtilityF1
-	// sweeps concurrently. 0 defaults to runtime.NumCPU(); negative
-	// forces serial execution. Results are byte-identical whatever the
-	// worker count: every client owns its RNG stream and private state,
-	// round-level randomness (sampling, dropout) is drawn before
-	// dispatch, uploads are observed and aggregated in client-index
-	// order, reduce shards preserve the serial addition order, and
+	// training, the sharded robust (median/trimmed-mean) reduce and the
+	// UtilityHR/UtilityF1 sweeps concurrently. 0 defaults to
+	// runtime.NumCPU(); negative forces serial execution. Results are
+	// byte-identical whatever the worker count: every client owns its
+	// RNG stream and private state, round-level randomness (sampling,
+	// dropout) is drawn before dispatch, uploads are observed and folded
+	// in sampling order, reduce shards preserve the serial order, and
 	// utility evaluation derives one counter-based stream per
 	// (seed, round, user).
 	Workers int
@@ -107,15 +105,13 @@ type Config struct {
 	Transport transport.Transport
 
 	// Compression selects the transport payload codec: the zero value
-	// keeps the dense float64 codec (bit-exact transfers, the golden
-	// reference), 8 or 16 bits switches every transfer to the
-	// sparse+quantized CPQ1 codec and the server to streaming
-	// aggregation — each upload is folded into the accumulator as it
-	// arrives, in sampling order, instead of being staged until the
-	// round ends. When Transport is nil the default inproc transport is
-	// built at this level; a non-nil Transport must either match (its
-	// own Compression equals this one) or this field must be zero, in
-	// which case the transport's setting is adopted.
+	// keeps the dense float64 codec (bit-exact transfers), 8 or 16 bits
+	// switches every transfer to the sparse+quantized CPQ1 codec. The
+	// server aggregates the same way either way. When Transport is nil
+	// the default inproc transport is built at this level; a non-nil
+	// Transport must either match (its own Compression equals this one)
+	// or this field must be zero, in which case the transport's setting
+	// is adopted.
 	Compression param.Compression
 
 	// FaultPlan is the declarative failure scenario the simulator
@@ -274,17 +270,15 @@ type Simulation struct {
 	scratches []model.Recommender // per-worker client workspaces
 	received  []*param.Set        // per-worker snapshot of the installed model
 	pool      param.Buffers       // payload free-list
-	payloads  []*param.Set        // per-round payload staging, by sample index
+	payloads  []*param.Set        // per-round arrivals awaiting the fold, by sample index
 	dropped   []bool              // per-round dropout decisions, by sample index
-	uploads   []upload            // reusable aggregation input
 
-	// Sharded-reduce state: one accumulator region per entry (offsets
-	// into aggBuf), a reusable chunk work-list and normalized weights.
-	aggBuf     []float64
-	aggOff     []int
-	aggChunks  []aggChunk
-	aggW       []float64
-	aggFactors []float64 // per-upload norm-clip scales
+	// Aggregation state: the fold's accumulator, one region per entry
+	// (offsets into aggBuf), and the robust reduce's chunk work-list.
+	aggBuf    []float64
+	aggOff    []int
+	aggChunks []aggChunk
+	fold      folder // the round's aggregator, reused across rounds
 
 	// Utility-evaluation state: the deterministic parallel engine plus,
 	// per worker, the user whose private rows are currently installed in
@@ -299,8 +293,8 @@ type Simulation struct {
 
 	// Resilience accounting. deliverFailures, uploadFailures and
 	// byzantineUploads are incremented from worker goroutines (atomic);
-	// the rest only from the sequential round phase (the streaming
-	// folder's clip count is merged after its goroutine drains).
+	// stragglers from the fold goroutine and the rest from RunRound,
+	// both only read once the round's fold has drained.
 	deliverFailures  atomic.Int64
 	uploadFailures   atomic.Int64
 	byzantineUploads atomic.Int64
@@ -419,8 +413,8 @@ func New(cfg Config) (*Simulation, error) {
 		}
 		cfg.Transport = tr
 	} else {
-		// Adopt the transport's codec so the streaming-aggregation
-		// decision below sees one authoritative setting.
+		// Adopt the transport's codec so Config reports one
+		// authoritative setting.
 		cfg.Compression = cfg.Transport.Compression()
 	}
 	rng := mathx.NewRand(cfg.Seed)
@@ -548,16 +542,16 @@ func (s *Simulation) RunRound() {
 	// — rides the transport: the broadcast is encoded once here, each
 	// client decodes/installs it and sends its payload inside the
 	// parallel region (transport stats are atomic sums, so totals do not
-	// depend on worker interleaving), and the order-sensitive effects
-	// (observation, aggregation) are applied afterwards, indexed by
-	// sample position.
+	// depend on worker interleaving). The order-sensitive effects
+	// (observation, aggregation) belong to the round's folder, which
+	// consumes the arrivals in sampling order as they resolve.
 	s.payloads = s.payloads[:0]
 	for range sampled {
 		s.payloads = append(s.payloads, nil)
 	}
 	// Span ring convention: parallel workers record on their parx index
-	// (0..workers-1), the sequential coordinator phases on ring
-	// s.workers, the streaming folder goroutine on s.workers+1.
+	// (0..workers-1), the coordinator on ring s.workers, the folder
+	// goroutine on s.workers+1.
 	encStart := s.cfg.Tracer.Start()
 	bcast, err := s.tr.OpenBroadcast(round, s.global.Params())
 	s.cfg.Tracer.Span(s.workers, obs.PhaseEncode, round, obs.RoundLevel, encStart)
@@ -567,15 +561,7 @@ func (s *Simulation) RunRound() {
 		s.finishRound(round)
 		return
 	}
-	// On a compressed transport the server aggregates streamingly: a
-	// folder goroutine consumes each upload in sampling order as soon
-	// as it (and all earlier ones) resolved, folding it into the
-	// accumulator and recycling it immediately instead of staging every
-	// decoded set until the round ends.
-	var fold *folder
-	if s.cfg.Compression.Enabled() {
-		fold = s.startFold(round, sampled)
-	}
+	fold := s.startFold(round, sampled)
 	parx.ForEach(s.workers, len(sampled), func(w, i int) {
 		payload := s.clientRound(round, sampled[i], w, s.scratches[w], bcast)
 		switch {
@@ -596,57 +582,11 @@ func (s *Simulation) RunRound() {
 				s.payloads[i] = sent
 			}
 		}
-		if fold != nil {
-			fold.resolve(i)
-		}
+		fold.resolve(i)
 	})
 	bcast.Close()
-	if fold != nil {
-		aggStart := s.cfg.Tracer.Start()
-		s.finishFold(fold, sampled)
-		s.cfg.Tracer.Span(s.workers, obs.PhaseAggregate, round, obs.RoundLevel, aggStart)
-		s.finishRound(round)
-		return
-	}
-
-	// Sequential phase: observe and aggregate in client-index order.
-	// Straggler decisions are pure plan functions, so drawing them here
-	// (not in the parallel region) changes nothing and keeps the
-	// exclusion logic next to the aggregation it affects.
 	aggStart := s.cfg.Tracer.Start()
-	uploads := s.uploads[:0]
-	for i, u := range sampled {
-		payload := s.payloads[i]
-		s.payloads[i] = nil
-		if payload == nil {
-			continue // dropped, skipped or lost before arrival
-		}
-		if s.cfg.Observer != nil {
-			s.cfg.Observer.OnUpload(Message{Round: round, From: u, Params: payload})
-		}
-		if s.isStraggler(round, u) {
-			// Too late for aggregation; the adversary saw it anyway.
-			s.stragglers++
-			s.pool.Put(payload)
-			continue
-		}
-		uploads = append(uploads, upload{
-			from:    u,
-			payload: payload,
-			weight:  float64(len(s.cfg.Dataset.Train[u])),
-		})
-	}
-	if s.cfg.Quorum > 0 && len(uploads) < int(math.Ceil(s.cfg.Quorum*float64(len(sampled)))) {
-		// Quorum miss: keep the previous global model.
-		s.quorumMisses++
-	} else {
-		s.aggregate(uploads)
-	}
-	for i := range uploads {
-		s.pool.Put(uploads[i].payload)
-		uploads[i].payload = nil
-	}
-	s.uploads = uploads[:0]
+	s.finishFold(fold)
 	s.cfg.Tracer.Span(s.workers, obs.PhaseAggregate, round, obs.RoundLevel, aggStart)
 	s.finishRound(round)
 }
@@ -786,151 +726,33 @@ func (s *Simulation) capturePrivateRows(m model.Recommender, u int) {
 	}
 }
 
-// upload is one client's contribution to a round's aggregation.
-type upload struct {
-	from    int
-	payload *param.Set
-	weight  float64
-}
-
-// aggChunk is one unit of the sharded reduce: the element range
-// [lo, hi) of parameter entry ei.
-type aggChunk struct {
-	ei, lo, hi int
-}
-
-// aggShard is the reduce chunk size in elements. Entries smaller than
-// this (biases, output layers) stay single-chunk; paper-scale item
-// tables (tens of thousands of rows) split into enough chunks to keep
-// every worker busy.
-const aggShard = 2048
-
-// aggregate folds the uploads into the global model: row routing for
-// the private user tables, then the weighted-delta FedAvg reduce
-// sharded per entry element-range over the worker pool. Chunks of one
-// entry write disjoint ranges of that entry's accumulator region and of
-// the entry itself, and every element sees the same upload-order
-// addition sequence as a serial reduce — so the result is byte-
-// identical for every worker count.
-func (s *Simulation) aggregate(uploads []upload) {
-	if len(uploads) == 0 {
-		return
-	}
-	if s.cfg.Aggregator.robust() {
-		// Median / trimmed mean need every coordinate column staged;
-		// they replace the weighted-delta reduce wholesale.
-		s.aggregateRobust(uploads)
-		return
-	}
-	// Norm-clip keeps the FedAvg reduce but scales each upload's
-	// normalized weight by its clip factor, computed against the
-	// pre-reduce global model.
-	s.aggFactors = s.aggFactors[:0]
-	if s.cfg.Aggregator == AggNormClip {
-		for i := range uploads {
-			f, clipped := s.clipFactor(uploads[i].payload)
-			if clipped {
-				s.clippedUploads++
-			}
-			s.aggFactors = append(s.aggFactors, f)
-		}
-	}
-	var totalW float64
-	for _, up := range uploads {
-		totalW += up.weight
-	}
-	if totalW == 0 {
-		totalW = 1
-	}
-	s.aggW = s.aggW[:0]
-	for i, up := range uploads {
-		w := up.weight / totalW
-		if len(s.aggFactors) > 0 {
-			w *= s.aggFactors[i]
-		}
-		s.aggW = append(s.aggW, w)
-	}
-	globalParams := s.global.Params()
-	s.aggChunks = s.aggChunks[:0]
-	for ei := 0; ei < globalParams.Len(); ei++ {
-		ge := globalParams.At(ei)
-		name := ge.Name
-		if _, isUserTable := s.privateSet[name]; isUserTable {
-			// Row routing: take row u from client u's upload (if the
-			// policy shared it at all). Cheap — stays serial.
-			for _, up := range uploads {
-				if !up.payload.Has(name) {
-					continue
-				}
-				pe := up.payload.Entry(name)
-				u := up.from
-				copy(ge.Data[u*ge.Cols:(u+1)*ge.Cols], pe.Data[u*pe.Cols:(u+1)*pe.Cols])
-			}
-			continue
-		}
-		var any bool
-		for _, up := range uploads {
-			if up.payload.Has(name) {
-				any = true
-				break
-			}
-		}
-		if !any {
-			continue
-		}
-		for lo := 0; lo < len(ge.Data); lo += aggShard {
-			hi := lo + aggShard
-			if hi > len(ge.Data) {
-				hi = len(ge.Data)
-			}
-			s.aggChunks = append(s.aggChunks, aggChunk{ei: ei, lo: lo, hi: hi})
-		}
-	}
-	parx.ForEach(s.workers, len(s.aggChunks), func(_, ci int) {
-		c := s.aggChunks[ci]
-		ge := globalParams.At(c.ei)
-		acc := s.aggBuf[s.aggOff[c.ei]+c.lo : s.aggOff[c.ei]+c.hi]
-		mathx.Zero(acc)
-		gd := ge.Data[c.lo:c.hi]
-		for ui := range uploads {
-			if !uploads[ui].payload.Has(ge.Name) {
-				continue
-			}
-			pe := uploads[ui].payload.Get(ge.Name)[c.lo:c.hi]
-			mathx.AxpyDiff(s.aggW[ui], pe, gd, acc)
-		}
-		mathx.Axpy(1, acc, gd)
-	})
-}
-
 // routedRow is a private user-table row captured from a streamed
 // upload: row routing must wait until the round's quorum is known, so
-// the row (a few floats) is stashed while the rest of the payload is
-// folded and recycled.
+// row u of entry ei (a few floats, at rows[off:]) is stashed while the
+// rest of the payload is folded and recycled.
 type routedRow struct {
-	name string
-	u    int
-	row  []float64
+	ei, u, off int
 }
 
-// folder is the compressed path's streaming aggregator. Workers signal
-// each sample index once its upload resolved (arrived, dropped, lost
-// or skipped); the folder's goroutine advances a cursor through the
-// sampling order, and for every arrival in turn observes it, folds its
-// weighted delta into the accumulator (raw weights — the 1/totalW
-// normalization is applied once at the end, when totalW is known) and
-// recycles the payload. Peak live payloads shrink from "every upload
-// of the round" to the out-of-order window between the cursor and the
-// fastest worker. The global model is only read during the round
-// (concurrently with broadcast deliveries — also reads) and only
-// written in finishFold, after the parallel region and the broadcast
-// close.
+// folder is the server's aggregator: one per round, the only path from
+// an arrival to the global model. Workers signal each sample index once
+// its upload resolved (arrived, dropped, lost or skipped); the folder's
+// goroutine advances a cursor through the sampling order, and for every
+// arrival in turn observes it (Alg. 1, line 6), excludes it if it is a
+// straggler, folds its weighted delta into the accumulator (raw
+// weights — the 1/totalW normalization is applied once at the end,
+// when totalW is known) and recycles the payload. Live payloads are
+// bounded by the out-of-order window between the cursor and the
+// fastest worker, not by the round's sample size. The global model is
+// only read during the round (concurrently with broadcast deliveries —
+// also reads) and only written in finishFold, after the parallel
+// region and the broadcast close.
 //
 // Determinism: the fold order is the sampling order whatever the
 // worker interleaving, and every float operation sequence is fixed, so
-// a compressed run is byte-identical across Workers settings and
-// backends — it differs from the dense path (which normalizes each
-// weight before accumulating), but only by its own fixed rounding.
+// a run is byte-identical across Workers settings and backends.
+//
+// The Simulation keeps one folder and reuses its buffers every round.
 type folder struct {
 	s       *Simulation
 	round   int
@@ -942,36 +764,57 @@ type folder struct {
 	timely  int
 	totalW  float64
 	routed  []routedRow
+	rows    []float64 // routed rows' values
 	// Robust-aggregator staging: coordinate-wise order statistics need
 	// every upload's column at once, so under AggMedian/AggTrimmedMean
-	// the folder keeps the decoded payloads (still consumed in
-	// sampling order — observation order is unchanged) and finishFold
-	// runs the shared robust reduce over them. This trades the
-	// streaming path's bounded payload residency for robustness; the
-	// norm-clip rule has no such trade-off and streams like FedAvg,
-	// scaling each fold by its clip factor (the global model is stable
-	// for the whole round, so the factor is computable on arrival).
+	// the folder keeps the payloads (still consumed in sampling order —
+	// observation order is unchanged) and finishFold runs the sharded
+	// robust reduce over them. This trades bounded payload residency
+	// for robustness; the norm-clip rule has no such trade-off and
+	// streams like FedAvg, scaling each fold by its clip factor (the
+	// global model is stable for the whole round, so the factor is
+	// computable on arrival).
 	robust  bool
 	stage   []upload
 	clipped int64
 }
 
-// startFold zeroes the accumulator and launches the round's folder
-// goroutine.
+// startFold resets the folder and the accumulator and launches the
+// round's folder goroutine.
 func (s *Simulation) startFold(round int, sampled []int) *folder {
-	f := &folder{
+	f := &s.fold
+	ch := f.ch
+	if cap(ch) < len(sampled) {
+		// The previous round's goroutine drained every send, so a large
+		// enough channel is empty and reusable.
+		ch = make(chan int, len(sampled))
+	}
+	*f = folder{
 		s:       s,
 		round:   round,
 		sampled: sampled,
-		ch:      make(chan int, len(sampled)),
+		ch:      ch,
 		done:    make(chan struct{}),
-		ready:   make([]bool, len(sampled)),
-		touched: make([]bool, s.global.Params().Len()),
+		ready:   falses(f.ready, len(sampled)),
+		touched: falses(f.touched, s.global.Params().Len()),
+		routed:  f.routed[:0],
+		rows:    f.rows[:0],
 		robust:  s.cfg.Aggregator.robust(),
+		stage:   f.stage[:0],
 	}
 	mathx.Zero(s.aggBuf)
 	go f.run()
 	return f
+}
+
+// falses returns b resized to n and cleared, reusing its storage.
+func falses(b []bool, n int) []bool {
+	if cap(b) < n {
+		return make([]bool, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
 }
 
 // resolve signals that sample index i's outcome is final (s.payloads[i]
@@ -1018,7 +861,7 @@ func (f *folder) consume(i int) {
 	f.totalW += w
 	if f.robust {
 		// Stage for the order-statistic reduce; finishFold recycles.
-		f.stage = append(f.stage, upload{from: u, payload: payload, weight: w})
+		f.stage = append(f.stage, upload{from: u, payload: payload})
 		return
 	}
 	factor := 1.0
@@ -1037,11 +880,8 @@ func (f *folder) consume(i int) {
 		}
 		if _, isUserTable := s.privateSet[ge.Name]; isUserTable {
 			pe := payload.Entry(ge.Name)
-			f.routed = append(f.routed, routedRow{
-				name: ge.Name,
-				u:    u,
-				row:  append([]float64(nil), pe.Data[u*pe.Cols:(u+1)*pe.Cols]...),
-			})
+			f.routed = append(f.routed, routedRow{ei: ei, u: u, off: len(f.rows)})
+			f.rows = append(f.rows, pe.Data[u*pe.Cols:(u+1)*pe.Cols]...)
 			continue
 		}
 		f.touched[ei] = true
@@ -1055,10 +895,10 @@ func (f *folder) consume(i int) {
 // aggregate to the global model — unless the timely arrivals missed
 // quorum, in which case the accumulator (and the stashed private rows)
 // are discarded and the previous global model stands.
-func (s *Simulation) finishFold(f *folder, sampled []int) {
+func (s *Simulation) finishFold(f *folder) {
 	<-f.done
 	s.clippedUploads += f.clipped
-	if s.cfg.Quorum > 0 && f.timely < int(math.Ceil(s.cfg.Quorum*float64(len(sampled)))) {
+	if s.cfg.Quorum > 0 && f.timely < int(math.Ceil(s.cfg.Quorum*float64(len(f.sampled)))) {
 		// Quorum miss: keep the previous global model.
 		s.quorumMisses++
 		s.recycleStage(f)
@@ -1068,9 +908,6 @@ func (s *Simulation) finishFold(f *folder, sampled []int) {
 		return
 	}
 	if f.robust {
-		// The shared order-statistic reduce over the staged uploads
-		// (same code as the dense path — streaming robust runs are
-		// byte-identical to dense robust runs modulo the codec).
 		s.aggregateRobust(f.stage)
 		s.recycleStage(f)
 		return
@@ -1081,8 +918,8 @@ func (s *Simulation) finishFold(f *folder, sampled []int) {
 	}
 	gp := s.global.Params()
 	for _, r := range f.routed {
-		ge := gp.Entry(r.name)
-		copy(ge.Data[r.u*ge.Cols:(r.u+1)*ge.Cols], r.row)
+		ge := gp.At(r.ei)
+		copy(ge.Data[r.u*ge.Cols:(r.u+1)*ge.Cols], f.rows[r.off:r.off+ge.Cols])
 	}
 	for ei := 0; ei < gp.Len(); ei++ {
 		if !f.touched[ei] {

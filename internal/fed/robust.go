@@ -73,6 +73,24 @@ func ParseAggregator(name string) (Aggregator, error) {
 // can combine them (order statistics need the whole column).
 func (a Aggregator) robust() bool { return a == AggMedian || a == AggTrimmedMean }
 
+// upload is one timely arrival staged for the robust reduce.
+type upload struct {
+	from    int
+	payload *param.Set
+}
+
+// aggChunk is one unit of the sharded robust reduce: the element range
+// [lo, hi) of parameter entry ei.
+type aggChunk struct {
+	ei, lo, hi int
+}
+
+// aggShard is the reduce chunk size in elements. Entries smaller than
+// this (biases, output layers) stay single-chunk; paper-scale item
+// tables (tens of thousands of rows) split into enough chunks to keep
+// every worker busy.
+const aggShard = 2048
+
 // trimCount returns how many values to discard from each end of a
 // sorted column of m uploads, clamped so at least one value survives.
 func trimCount(trim float64, m int) int {
