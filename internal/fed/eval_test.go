@@ -121,10 +121,9 @@ func shardTestSim(t *testing.T, workers int, agg Aggregator) *Simulation {
 
 // The sharded robust reduce (aggregateRobust) must be byte-identical
 // to the serial reduce, including with partial (Share-less-style)
-// payloads that skip entries; the FedAvg fold, serial by design, must
-// not depend on the worker count either.
+// payloads that skip entries.
 func TestAggregateShardedEquivalence(t *testing.T) {
-	for _, agg := range []Aggregator{AggFedAvg, AggMedian, AggTrimmedMean} {
+	for _, agg := range []Aggregator{AggMedian, AggTrimmedMean} {
 		t.Run(agg.String(), func(t *testing.T) {
 			testShardedEquivalence(t, agg)
 		})
