@@ -446,8 +446,8 @@ func New(cfg Config) (*Simulation, error) {
 	for _, n := range s.privateEntries {
 		s.privateSet[n] = struct{}{}
 	}
-	// One accumulator region per entry so reduce chunks from different
-	// entries never share storage.
+	// The fold's accumulator: one region per entry, laid out like the
+	// global parameters.
 	gp := global.Params()
 	s.aggOff = make([]int, gp.Len())
 	var total int
