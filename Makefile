@@ -67,8 +67,8 @@ chaos:
 #	benchstat old.txt new.txt
 bench:
 	$(GO) test -run='^$$' -count=$(BENCH_COUNT) -benchmem \
-		-bench='BenchmarkFedRound|BenchmarkObsOverhead|BenchmarkGossipCycle|BenchmarkParamClone|BenchmarkUtilityHR|BenchmarkUtilityF1|BenchmarkFedAggregate|BenchmarkWireRound|BenchmarkSocketRound|BenchmarkScoreItems|BenchmarkCodecThroughput' \
-		./internal/fed/ ./internal/gossip/ ./internal/param/ ./internal/model/
+		-bench='BenchmarkFedRound|BenchmarkObsOverhead|BenchmarkGossipCycle|BenchmarkParamClone|BenchmarkUtilityHR|BenchmarkUtilityF1|BenchmarkFedAggregate|BenchmarkWireRound|BenchmarkSocketRound|BenchmarkScoreItems|BenchmarkCodecThroughput|BenchmarkCIAEndRound' \
+		./internal/fed/ ./internal/gossip/ ./internal/param/ ./internal/model/ ./internal/attack/
 
 # End-to-end repository benchmark: the workloads and metrics declared
 # in BENCHMARK.json (see perfbench/run.sh for its options).

@@ -15,11 +15,14 @@ package attack
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
 	"github.com/collablearn/ciarec/internal/evalx"
+	"github.com/collablearn/ciarec/internal/mathx"
 	"github.com/collablearn/ciarec/internal/param"
 )
 
@@ -32,8 +35,14 @@ import (
 // Score calls that follow it are issued from a single goroutine at a
 // time per evaluator. Evaluators sharing read-only state (e.g. target
 // item sets) is fine; sharing a mutable scratch model is not.
+//
+// Reuse contract: an implementation may reuse work across the Score
+// calls that follow one Load (RecommenderEval memoizes per-item terms),
+// so Score results are valid until the next Load. Whoever mutates the
+// model state behind an evaluator must call Load again before scoring.
 type Evaluator interface {
-	// Load installs a (momentum-averaged) model state for scoring.
+	// Load installs a (momentum-averaged) model state for scoring and
+	// ends the reuse of every earlier Score computation.
 	Load(state *param.Set)
 	// Score returns the relevance Ŷ of the loaded state, attributed to
 	// sender, for registered target index t. Higher = more relevant.
@@ -68,6 +77,8 @@ type CIA struct {
 	states  map[int]*param.Set // sender → momentum state v_u
 	scores  [][]float64        // [target][sender]
 	hasSeen []bool             // sender observed at least once
+	seen    []int              // observed senders, ascending
+	vals    []float64          // Predict's staging of one target's seen scores
 	dirty   map[int]struct{}   // senders whose state changed since last EndRound
 	// extraEvals caches the NewEval-built evaluators for workers 1..W-1
 	// across rounds (worker 0 uses cfg.Eval); evaluators carry no
@@ -124,7 +135,11 @@ func (c *CIA) Observe(sender int, payload *param.Set) {
 	} else {
 		st.Lerp(c.cfg.Beta, payload)
 	}
-	c.hasSeen[sender] = true
+	if !c.hasSeen[sender] {
+		c.hasSeen[sender] = true
+		i, _ := slices.BinarySearch(c.seen, sender)
+		c.seen = slices.Insert(c.seen, i, sender)
+	}
 	c.dirty[sender] = struct{}{}
 }
 
@@ -187,13 +202,25 @@ func (c *CIA) scoreSenders(ev Evaluator, senders []int) {
 
 // Predict returns the current inferred community Ĉ for target t: the K
 // observed senders with the highest relevance scores (Eq. 3; Alg. 1/2
-// AddSorted + Slice).
+// AddSorted + Slice), ties to the lower id. It selects the top K of the
+// seen senders instead of sorting them all, with the output of
+// evalx.SortedByScoreDesc(...)[:K]. A NaN score has no place in a total
+// order, so a target with one keeps the stable sort's ranking.
 func (c *CIA) Predict(t int) []int {
-	ranked := evalx.SortedByScoreDesc(c.scores[t], c.hasSeen)
-	if len(ranked) > c.cfg.K {
-		ranked = ranked[:c.cfg.K]
+	row := c.scores[t]
+	c.vals = c.vals[:0]
+	for _, s := range c.seen {
+		if math.IsNaN(row[s]) {
+			ranked := evalx.SortedByScoreDesc(row, c.hasSeen)
+			return ranked[:min(c.cfg.K, len(ranked))]
+		}
+		c.vals = append(c.vals, row[s])
 	}
-	return ranked
+	top := mathx.TopKSelect(c.vals, c.cfg.K, make([]int, min(c.cfg.K, len(c.vals))))
+	for i, j := range top {
+		top[i] = c.seen[j]
+	}
+	return top
 }
 
 // Accuracies returns Accuracy@R (Eq. 6) for every target against the

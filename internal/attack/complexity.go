@@ -29,7 +29,10 @@ type CostModel struct {
 
 // CIACost is O(TM) + O(IM·|U|·|V_target|): one fictive-embedding fit
 // (the Share-less worst case) plus one inference per user per target
-// item.
+// item — the paper's formula for one target, which Table IX keeps. A
+// multi-target instance here (the FL server, every user a target)
+// memoizes per-item terms across targets, so its full-model scoring
+// costs IM·|U|·|∪V_target| per round, not IM·|U|·Σ|V_target|.
 func (c CostModel) CIACost() float64 {
 	return c.TrainModel + c.InferModel*float64(c.Users)*float64(c.TargetSize)
 }

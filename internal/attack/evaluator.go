@@ -3,7 +3,9 @@ package attack
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
+	"github.com/collablearn/ciarec/internal/mathx"
 	"github.com/collablearn/ciarec/internal/model"
 	"github.com/collablearn/ciarec/internal/param"
 )
@@ -20,11 +22,28 @@ import (
 //     payloads carry no user embeddings, so relevance is computed with
 //     the adversary's fictive user embedding e_A fitted per target on
 //     a fabricated interaction matrix R_A.
+//
+// Full-model mode memoizes per-item relevance terms for the loaded
+// state and the sender they were computed for: a sender scored against
+// many targets pays one term per distinct catalogue item, not one per
+// (target, item). Load and a change of sender invalidate the memo.
 type RecommenderEval struct {
 	scratch model.Recommender
 	targets [][]int
 	// fictive[t] is e_A for target t; nil selects full-model mode.
 	fictive [][]float64
+
+	// The term memo: terms[i] holds item i's term for owner and the
+	// loaded state iff stamp[i] == gen. Bumping gen invalidates every
+	// entry at once; gen 0 is never current, so zeroed stamps are stale.
+	terms []float64
+	stamp []uint32
+	gen   uint32
+	owner int
+	// miss and fresh stage the items a Score call must compute and
+	// their terms; sum stages the target's terms in target order.
+	miss       []int
+	fresh, sum []float64
 }
 
 var _ Evaluator = (*RecommenderEval)(nil)
@@ -35,7 +54,11 @@ func NewRecommenderEval(scratch model.Recommender, targets [][]int) *Recommender
 	if len(targets) == 0 {
 		panic("attack: NewRecommenderEval requires at least one target")
 	}
-	return &RecommenderEval{scratch: scratch, targets: targets}
+	n := scratch.NumItems()
+	return &RecommenderEval{
+		scratch: scratch, targets: targets,
+		terms: make([]float64, n), stamp: make([]uint32, n), owner: -1,
+	}
 }
 
 // NewShareLessEval builds a fictive-user evaluator for the Share-less
@@ -57,26 +80,65 @@ func (e *RecommenderEval) NumTargets() int { return len(e.targets) }
 func (e *RecommenderEval) Target(t int) []int { return e.targets[t] }
 
 // Load implements Evaluator: installs the payload into the scratch
-// model. Partial payloads (Share-less) overwrite only the entries they
-// carry; the remaining scratch entries keep their previous values,
-// which is irrelevant for scoring because fictive-user mode never
-// reads them.
+// model and invalidates the term memo. Score results may be reused
+// until the next Load, so whoever mutates the scratch model must call
+// Load again before scoring. Partial payloads (Share-less) overwrite
+// only the entries they carry; the remaining scratch entries keep their
+// previous values, which is irrelevant for scoring because fictive-user
+// mode never reads them.
 func (e *RecommenderEval) Load(state *param.Set) {
 	if e.scratch.Params().CopyShared(state) == 0 {
 		panic("attack: payload shares no entries with the scratch model")
 	}
+	e.invalidate()
 }
 
-// Score implements Evaluator.
+// invalidate drops every memoized term.
+func (e *RecommenderEval) invalidate() {
+	e.gen++
+	if e.gen == 0 { // wrapped: stamps of the old cycle look current
+		clear(e.stamp)
+		e.gen = 1
+	}
+}
+
+// Score implements Evaluator. In full-model mode it computes, in one
+// batched call, the terms of target t's items not yet memoized for
+// sender, then averages the memoized terms in target order — the same
+// values and the same reduction as Relevance(sender, targets[t]).
 func (e *RecommenderEval) Score(sender, t int) float64 {
-	if e.fictive == nil {
-		return e.scratch.Relevance(sender, e.targets[t])
+	target := e.targets[t]
+	if e.fictive != nil {
+		vec := e.fictive[t]
+		if vec == nil {
+			panic(fmt.Sprintf("attack: fictive user for target %d not fitted; call RefreshFictive", t))
+		}
+		return e.scratch.RelevanceWithUserVec(vec, target)
 	}
-	vec := e.fictive[t]
-	if vec == nil {
-		panic(fmt.Sprintf("attack: fictive user for target %d not fitted; call RefreshFictive", t))
+	if sender != e.owner {
+		e.invalidate()
+		e.owner = sender
 	}
-	return e.scratch.RelevanceWithUserVec(vec, e.targets[t])
+	miss := e.miss[:0]
+	for _, it := range target {
+		if e.stamp[it] != e.gen {
+			e.stamp[it] = e.gen
+			miss = append(miss, it)
+		}
+	}
+	e.miss = miss
+	if len(miss) > 0 {
+		e.fresh = slices.Grow(e.fresh[:0], len(miss))[:len(miss)]
+		e.scratch.RelevanceTerms(sender, miss, e.fresh)
+		for i, it := range miss {
+			e.terms[it] = e.fresh[i]
+		}
+	}
+	e.sum = slices.Grow(e.sum[:0], len(target))[:len(target)]
+	for i, it := range target {
+		e.sum[i] = e.terms[it]
+	}
+	return mathx.Mean(e.sum)
 }
 
 // RefreshFictive fits the fictive user embedding e_A for every target

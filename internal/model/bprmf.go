@@ -113,18 +113,24 @@ func (m *BPRMF) Relevance(owner int, items []int) float64 {
 	return m.RelevanceWithUserVec(m.userEmb.Row(owner), items)
 }
 
-// RelevanceWithUserVec scores items against an explicit user vector,
-// batched through one gathered matrix-vector product. The per-item
-// values and the mean's addition order match the historical scalar
-// loop bit for bit.
+// RelevanceWithUserVec scores items against an explicit user vector:
+// the mean of the per-item terms. The per-item values and the mean's
+// addition order match the historical scalar loop bit for bit.
 func (m *BPRMF) RelevanceWithUserVec(vec []float64, items []int) float64 {
-	if len(items) == 0 {
-		return 0
-	}
 	m.scoreBuf = growFloats(m.scoreBuf, len(items))
-	buf := m.scoreBuf
-	mathx.GemvRows(m.itemEmb, items, vec, m.itemBias, buf)
-	return mathx.Sum(buf) / float64(len(items))
+	m.relevanceTerms(vec, items, m.scoreBuf)
+	return mathx.Mean(m.scoreBuf)
+}
+
+// RelevanceTerms writes the raw score of each item for owner into dst.
+func (m *BPRMF) RelevanceTerms(owner int, items []int, dst []float64) {
+	m.relevanceTerms(m.userEmb.Row(owner), items, dst)
+}
+
+// relevanceTerms is the batched term kernel: one gathered
+// matrix-vector product with the item bias.
+func (m *BPRMF) relevanceTerms(vec []float64, items []int, dst []float64) {
+	mathx.GemvRows(m.itemEmb, items, vec, m.itemBias, dst)
 }
 
 // ScoreItems ranks candidates by raw score on the batched kernels

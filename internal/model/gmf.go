@@ -147,19 +147,25 @@ func (m *GMF) weightedUser(vec []float64) []float64 {
 	return m.wuser
 }
 
-// RelevanceWithUserVec scores items against an explicit user vector,
-// batched: one gathered matrix-vector product and a sigmoid pass over
-// a model-owned buffer.
+// RelevanceWithUserVec scores items against an explicit user vector:
+// the mean of the per-item terms over a model-owned buffer.
 func (m *GMF) RelevanceWithUserVec(vec []float64, items []int) float64 {
-	if len(items) == 0 {
-		return 0
-	}
 	m.scoreBuf = growFloats(m.scoreBuf, len(items))
-	buf := m.scoreBuf
-	mathx.GemvRows(m.itemEmb, items, m.weightedUser(vec), nil, buf)
-	mathx.AddScalar(m.bias[0], buf)
-	mathx.SigmoidInto(buf, buf)
-	return mathx.Sum(buf) / float64(len(items))
+	m.relevanceTerms(vec, items, m.scoreBuf)
+	return mathx.Mean(m.scoreBuf)
+}
+
+// RelevanceTerms writes σ(logit) of each item for owner into dst.
+func (m *GMF) RelevanceTerms(owner int, items []int, dst []float64) {
+	m.relevanceTerms(m.userEmb.Row(owner), items, dst)
+}
+
+// relevanceTerms is the batched term kernel: one gathered
+// matrix-vector product and a sigmoid pass.
+func (m *GMF) relevanceTerms(vec []float64, items []int, dst []float64) {
+	mathx.GemvRows(m.itemEmb, items, m.weightedUser(vec), nil, dst)
+	mathx.AddScalar(m.bias[0], dst)
+	mathx.SigmoidInto(dst, dst)
 }
 
 // ScoreItems ranks candidates by raw logit on the batched kernels;

@@ -45,6 +45,14 @@ type Recommender interface {
 	// (§IV-C) passes the adversary's fictive-user embedding here.
 	RelevanceWithUserVec(vec []float64, items []int) float64
 
+	// RelevanceTerms writes owner's per-item relevance term for each
+	// item into dst (len(dst) == len(items)). It is the one place a
+	// family defines its relevance arithmetic: Relevance and
+	// RelevanceWithUserVec are mathx.Mean over these terms, and a term
+	// does not depend on the other items of the call, so terms may be
+	// computed in any batches and reduced later bit-identically.
+	RelevanceTerms(owner int, items []int, dst []float64)
+
 	// FitFictiveUser trains a fresh user vector representing "a user
 	// who likes items", holding every other parameter fixed (§IV-C).
 	FitFictiveUser(items []int, opt TrainOptions) []float64

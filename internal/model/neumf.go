@@ -198,14 +198,27 @@ func (m *NeuMF) Predict(owner, item int) float64 {
 // Relevance is the mean predicted score over items (Eq. 3's Ŷ),
 // computed on the batched scorer.
 func (m *NeuMF) Relevance(owner int, items []int) float64 {
-	if len(items) == 0 {
-		return 0
-	}
+	return m.relevance(m.userG.Row(owner), m.userM.Row(owner), items)
+}
+
+// RelevanceTerms writes σ(logit) of each item for owner into dst.
+func (m *NeuMF) RelevanceTerms(owner int, items []int, dst []float64) {
+	m.relevanceTerms(m.userG.Row(owner), m.userM.Row(owner), items, dst)
+}
+
+// relevance is the mean of the per-item terms over a model-owned
+// buffer, for explicit tower user vectors ug/um.
+func (m *NeuMF) relevance(ug, um []float64, items []int) float64 {
 	m.scoreBuf = growFloats(m.scoreBuf, len(items))
-	buf := m.scoreBuf
-	m.scoreBatch(m.userG.Row(owner), m.userM.Row(owner), items, buf)
-	mathx.SigmoidInto(buf, buf)
-	return mathx.Sum(buf) / float64(len(items))
+	m.relevanceTerms(ug, um, items, m.scoreBuf)
+	return mathx.Mean(m.scoreBuf)
+}
+
+// relevanceTerms is the batched term kernel: the batched logits and a
+// sigmoid pass.
+func (m *NeuMF) relevanceTerms(ug, um []float64, items []int, dst []float64) {
+	m.scoreBatch(ug, um, items, dst)
+	mathx.SigmoidInto(dst, dst)
 }
 
 // scoreBatch writes the logit of every candidate into dst (items nil
@@ -263,14 +276,7 @@ func (m *NeuMF) RelevanceWithUserVec(vec []float64, items []int) float64 {
 	if len(vec) != 2*m.dim {
 		panic("model: NeuMF user vector must be [gmf ; mlp] of length 2*dim")
 	}
-	if len(items) == 0 {
-		return 0
-	}
-	m.scoreBuf = growFloats(m.scoreBuf, len(items))
-	buf := m.scoreBuf
-	m.scoreBatch(vec[:m.dim], vec[m.dim:], items, buf)
-	mathx.SigmoidInto(buf, buf)
-	return mathx.Sum(buf) / float64(len(items))
+	return m.relevance(vec[:m.dim], vec[m.dim:], items)
 }
 
 // ScoreItems ranks candidates by raw logit on the batched scorer;

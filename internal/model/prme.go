@@ -175,33 +175,37 @@ func (m *PRME) Relevance(owner int, items []int) float64 {
 // per-user ‖P_u‖² confound that cripples cross-model comparison).
 func (m *PRME) SetRawRelevance(raw bool) { m.rawRelevance = raw }
 
-// RelevanceWithUserVec scores items against an explicit user vector,
-// batched: one gathered pass over the preference table computing the
-// dots and squared norms the metric needs (raw mode gathers squared
-// distances instead).
+// RelevanceWithUserVec scores items against an explicit user vector:
+// the mean of the per-item terms over a model-owned buffer.
 func (m *PRME) RelevanceWithUserVec(vec []float64, items []int) float64 {
-	if len(items) == 0 {
-		return 0
-	}
 	n := len(items)
 	m.scoreBuf = growFloats(m.scoreBuf, 2*n)
+	terms := m.scoreBuf[:n]
+	m.relevanceTerms(vec, items, terms, m.scoreBuf[n:2*n])
+	return mathx.Mean(terms)
+}
+
+// RelevanceTerms writes the relevance metric of each item for owner
+// into dst: 2·dot − ‖L_i‖² (see relScore), or −‖u − L_i‖² in raw mode.
+func (m *PRME) RelevanceTerms(owner int, items []int, dst []float64) {
+	m.scoreBuf = growFloats(m.scoreBuf, len(items))
+	m.relevanceTerms(m.userEmb.Row(owner), items, dst, m.scoreBuf)
+}
+
+// relevanceTerms is the batched term kernel: one gathered pass over the
+// preference table computing the dots and squared norms (into the norms
+// scratch) the metric needs; raw mode gathers squared distances
+// instead. Scaling by 2 and subtracting 1·‖L_i‖² round exactly as the
+// scalar 2·dot − ‖L_i‖².
+func (m *PRME) relevanceTerms(vec []float64, items []int, dst, norms []float64) {
 	if m.rawRelevance {
-		d := m.scoreBuf[:n]
-		mathx.SqDistRowsGather(m.itemPref, items, vec, d)
-		var s float64
-		for _, v := range d {
-			s += -v
-		}
-		return s / float64(n)
+		mathx.SqDistRowsGather(m.itemPref, items, vec, dst)
+		mathx.NegScaleInto(1, dst, dst)
+		return
 	}
-	dots, norms := m.scoreBuf[:n], m.scoreBuf[n:2*n]
-	mathx.DotNormRows(m.itemPref, items, vec, dots, norms)
-	var s float64
-	//lint:ignore mathxseam score reduction order is golden-pinned; Sum-composition would reassociate the accumulation
-	for i := range dots {
-		s += 2*dots[i] - norms[i]
-	}
-	return s / float64(n)
+	mathx.DotNormRows(m.itemPref, items, vec, dst, norms)
+	mathx.Scale(2, dst)
+	mathx.Axpy(-1, norms, dst)
 }
 
 // ScoreItems ranks candidates with the full two-space score, using

@@ -172,3 +172,76 @@ func TestRelevanceMatchesBatched(t *testing.T) {
 		}
 	}
 }
+
+// TestRelevanceTermsBatchIndependent pins the contract the CIA term
+// memo rests on, for every family and both PRME metrics: a term does
+// not depend on the rest of its batch, and Relevance and
+// RelevanceWithUserVec are bit-identical to mathx.Mean over the terms.
+func TestRelevanceTermsBatchIndependent(t *testing.T) {
+	r := rand.New(rand.NewPCG(19, 20))
+	for _, sh := range scoreShapes {
+		rawPRME := func(seed uint64) Recommender {
+			m := NewPRME(sh.users, sh.items, sh.dim, seed)
+			m.SetRawRelevance(true)
+			return m
+		}
+		for name, f := range map[string]Factory{
+			"gmf":      NewGMFFactory(sh.users, sh.items, sh.dim),
+			"bprmf":    NewBPRMFFactory(sh.users, sh.items, sh.dim),
+			"neumf":    NewNeuMFFactory(sh.users, sh.items, sh.dim),
+			"prme":     NewPRMEFactory(sh.users, sh.items, sh.dim),
+			"prme-raw": rawPRME,
+		} {
+			m := f(r.Uint64())
+			owner := r.IntN(sh.users)
+			items := make([]int, 1+r.IntN(2*sh.items))
+			for i := range items {
+				items[i] = r.IntN(sh.items)
+			}
+			terms := make([]float64, len(items))
+			m.RelevanceTerms(owner, items, terms)
+			one := make([]float64, 1)
+			for i, it := range items {
+				m.RelevanceTerms(owner, []int{it}, one)
+				if math.Float64bits(one[0]) != math.Float64bits(terms[i]) {
+					t.Fatalf("%s %v: singleton term %v != batched term[%d] %v", name, sh, one[0], i, terms[i])
+				}
+			}
+			want := mathx.Mean(terms)
+			if got := m.Relevance(owner, items); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s %v: Relevance %v != mean of terms %v", name, sh, got, want)
+			}
+			vec := m.Params().Get(m.PrivateEntries()[0])
+			if name == "neumf" {
+				continue // its user vector spans two tables
+			}
+			row := vec[owner*sh.dim : (owner+1)*sh.dim]
+			if got := m.RelevanceWithUserVec(row, items); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s %v: RelevanceWithUserVec %v != mean of terms %v", name, sh, got, want)
+			}
+		}
+	}
+}
+
+// TestPRMERelevanceTermsMatchScalar pins the PRME term kernel to its
+// scalar definitions bit for bit: 2·Dot(u, L_i) − Dot(L_i, L_i) by
+// default and −‖u − L_i‖² in raw mode.
+func TestPRMERelevanceTermsMatchScalar(t *testing.T) {
+	m := NewPRME(4, 50, 10, 3)
+	items := []int{0, 7, 7, 49, 13}
+	terms := make([]float64, len(items))
+	for _, raw := range []bool{false, true} {
+		m.SetRawRelevance(raw)
+		m.RelevanceTerms(2, items, terms)
+		for i, it := range items {
+			u, l := m.userEmb.Row(2), m.itemPref.Row(it)
+			want := 2*mathx.Dot(u, l) - mathx.Dot(l, l)
+			if raw {
+				want = m.prefScore(u, it)
+			}
+			if math.Float64bits(terms[i]) != math.Float64bits(want) {
+				t.Fatalf("raw=%v item %d: term %v != scalar %v", raw, it, terms[i], want)
+			}
+		}
+	}
+}
