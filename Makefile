@@ -1,8 +1,13 @@
 GO ?= go
 # benchstat needs several samples per benchmark to compute intervals.
 BENCH_COUNT ?= 6
+# The microbenchmarks `make bench` samples and `make bench-smoke` (CI)
+# runs once at smoke size: round engine, eval engines, scoring and
+# codec kernels.
+BENCH_RE = BenchmarkFedRound|BenchmarkObsOverhead|BenchmarkGossipCycle|BenchmarkParamClone|BenchmarkUtilityHR|BenchmarkUtilityF1|BenchmarkFedAggregate|BenchmarkWireRound|BenchmarkSocketRound|BenchmarkScoreItems|BenchmarkCodecThroughput|BenchmarkCIAEndRound
+BENCH_PKGS = ./internal/fed/ ./internal/gossip/ ./internal/param/ ./internal/model/ ./internal/attack/
 
-.PHONY: all build vet lint test race fuzz chaos bench bench-tables bench-compare perfbench
+.PHONY: all build vet lint test race fuzz chaos bench bench-smoke bench-tables bench-compare perfbench
 
 all: lint build test
 
@@ -66,9 +71,12 @@ chaos:
 #	make bench > new.txt   # on the candidate
 #	benchstat old.txt new.txt
 bench:
-	$(GO) test -run='^$$' -count=$(BENCH_COUNT) -benchmem \
-		-bench='BenchmarkFedRound|BenchmarkObsOverhead|BenchmarkGossipCycle|BenchmarkParamClone|BenchmarkUtilityHR|BenchmarkUtilityF1|BenchmarkFedAggregate|BenchmarkWireRound|BenchmarkSocketRound|BenchmarkScoreItems|BenchmarkCodecThroughput|BenchmarkCIAEndRound' \
-		./internal/fed/ ./internal/gossip/ ./internal/param/ ./internal/model/ ./internal/attack/
+	$(GO) test -run='^$$' -count=$(BENCH_COUNT) -benchmem -bench='$(BENCH_RE)' $(BENCH_PKGS)
+
+# The same benchmarks, ten iterations each: a fast does-it-still-run
+# check (CI), not a measurement.
+bench-smoke:
+	$(GO) test -run='^$$' -benchtime=10x -benchmem -bench='$(BENCH_RE)' $(BENCH_PKGS)
 
 # End-to-end repository benchmark: the workloads and metrics declared
 # in BENCHMARK.json (see perfbench/run.sh for its options).

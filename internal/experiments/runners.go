@@ -34,19 +34,15 @@ const (
 type RunResult struct {
 	Attack  evalx.Result
 	Utility []float64 // one value per round (empty with UtilityNone)
-	// TransportName and Traffic record which round-transport backend
-	// carried the run and what it cost (messages, bytes, RPC
-	// round-trips), so wire vs socket overhead is visible per run.
+	// TransportName records which round-transport backend carried the
+	// run.
 	TransportName string
-	Traffic       transport.Stats
-	// Resilience summarizes the run's non-zero fault, churn and
-	// Byzantine counters as key=value pairs (fed.Resilience.String /
-	// gossip.Resilience.String; "" for an uneventful run).
-	Resilience string
-	// Metrics is the end-of-run snapshot of the run's obs registry
-	// (the same counters the transport/resilience accessors expose,
-	// under the metric names in OBSERVABILITY.md). Always populated:
-	// runs without a Spec.Metrics registry gather into a private one.
+	// Metrics is the end-of-run snapshot of the run's obs registry:
+	// the only record of its transport and resilience counters (what
+	// the run cost in messages, bytes and RPC round-trips, and which
+	// faults, churn and Byzantine events it saw), under the metric
+	// names in OBSERVABILITY.md. Always populated: runs without a
+	// Spec.Metrics registry gather into a private one.
 	Metrics obs.Snapshot
 }
 
@@ -224,9 +220,7 @@ func RunFLCIA(o FLOpts) (RunResult, error) {
 	res := flObs.rec.Summarize(evalx.RandomBound(k, o.Data.NumUsers), upper)
 	return RunResult{
 		Attack: res, Utility: utility,
-		TransportName: tr.Name(), Traffic: tr.Stats(),
-		Resilience: sim.Resilience().String(),
-		Metrics:    reg.Snapshot(),
+		TransportName: tr.Name(), Metrics: reg.Snapshot(),
 	}, nil
 }
 
@@ -394,9 +388,7 @@ func RunGLCIA(o GLOpts) (RunResult, error) {
 	res := glObs.rec.Summarize(evalx.RandomBound(k, n), glObs.meanUpperBound())
 	return RunResult{
 		Attack: res, Utility: utility,
-		TransportName: tr.Name(), Traffic: tr.Stats(),
-		Resilience: sim.Resilience().String(),
-		Metrics:    reg.Snapshot(),
+		TransportName: tr.Name(), Metrics: reg.Snapshot(),
 	}, nil
 }
 

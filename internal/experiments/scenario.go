@@ -222,8 +222,8 @@ func (sc Scenario) Validate() error {
 	if sc.ClientFraction < 0 || sc.ClientFraction > 1 {
 		return fieldErr("client_fraction", fmt.Errorf("%g outside [0, 1]", sc.ClientFraction))
 	}
-	if sc.DropoutProb < 0 || sc.DropoutProb > 1 {
-		return fieldErr("dropout_prob", fmt.Errorf("%g outside [0, 1]", sc.DropoutProb))
+	if sc.DropoutProb < 0 || sc.DropoutProb >= 1 {
+		return fieldErr("dropout_prob", fmt.Errorf("%g outside [0, 1)", sc.DropoutProb))
 	}
 	if sc.Protocol == "gossip" {
 		fedOnly := []struct {
@@ -519,8 +519,7 @@ func RenderScenario(sc Scenario, res RunResult) string {
 	rows := []AttackRow{{
 		Dataset: sc.Dataset, Model: sc.Family, Setting: sc.Protocol,
 		Result:    res.Attack,
-		Transport: res.TransportName, Traffic: res.Traffic,
-		Resilience: res.Resilience, Metrics: res.Metrics,
+		Transport: res.TransportName, Metrics: res.Metrics,
 	}}
 	out := RenderRows("Scenario: "+name, rows)
 	if u := res.BestUtility(); u > 0 {

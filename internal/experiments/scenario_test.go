@@ -87,6 +87,7 @@ func TestScenarioValidationNamesField(t *testing.T) {
 		{"workers", func(sc *Scenario) { sc.Workers = -2 }},
 		{"client_fraction", func(sc *Scenario) { sc.ClientFraction = 1.5 }},
 		{"dropout_prob", func(sc *Scenario) { sc.DropoutProb = -0.1 }},
+		{"dropout_prob", func(sc *Scenario) { sc.DropoutProb = 1 }},
 		{"aggregator", func(sc *Scenario) { sc.Aggregator = "krum" }},
 		{"aggregator", func(sc *Scenario) { sc.Protocol = "gossip"; sc.Aggregator = "median" }},
 		{"trim_fraction", func(sc *Scenario) { sc.TrimFraction = 0.5 }},
@@ -148,11 +149,12 @@ func TestScenarioRunsSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Resilience == "" {
+	line := resilienceLine(AttackRow{Metrics: res.Metrics})
+	if line == "" {
 		t.Fatal("churn-byz run reported no resilience counters")
 	}
-	if !strings.Contains(res.Resilience, "byzantine-uploads=") {
-		t.Fatalf("resilience summary %q lacks byzantine uploads", res.Resilience)
+	if !strings.Contains(line, "byzantine-uploads=") {
+		t.Fatalf("resilience summary %q lacks byzantine uploads", line)
 	}
 	if res.BestUtility() <= 0 {
 		t.Fatal("churn-byz run recorded no utility")
@@ -168,8 +170,8 @@ func TestScenarioRunsSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(gres.Resilience, "leaves=") {
-		t.Fatalf("gossip resilience summary %q lacks churn counters", gres.Resilience)
+	if gline := resilienceLine(AttackRow{Metrics: gres.Metrics}); !strings.Contains(gline, "leaves=") {
+		t.Fatalf("gossip resilience summary %q lacks churn counters", gline)
 	}
 }
 

@@ -70,8 +70,7 @@ type Spec struct {
 	Workers int
 	// Transport selects the round-transport backend threaded into the
 	// protocol simulators: "" or "inproc" (pointer passing), "wire"
-	// (every parameter transfer round-trips the binary codec),
-	// "wire-chunked" (wire plus fixed-size frame reassembly), "socket"
+	// (every parameter transfer round-trips the binary codec), "socket"
 	// (framed RPC over an in-process loopback Unix-domain socket
 	// server) or "socket-tcp" (the same over loopback TCP). Results are
 	// byte-identical across backends (see internal/transport).

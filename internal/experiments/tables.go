@@ -14,33 +14,24 @@ import (
 	"github.com/collablearn/ciarec/internal/model"
 	"github.com/collablearn/ciarec/internal/obs"
 	"github.com/collablearn/ciarec/internal/param"
-	"github.com/collablearn/ciarec/internal/transport"
 )
 
 // AttackRow is one table line of attack metrics, optionally annotated
-// with the transport traffic its run generated.
+// with the transport and resilience counters its run recorded.
 type AttackRow struct {
 	Dataset string
 	Model   string
 	Setting string // protocol / colluder / defense label
 	Result  evalx.Result
 
-	// Transport and Traffic carry the run's round-transport backend and
-	// its traffic accounting when the runner recorded them (RunTable2,
-	// RunTable3); RenderRows then appends a per-row traffic table so
-	// wire vs socket cost is visible next to the attack numbers.
+	// Transport names the run's round-transport backend when the runner
+	// recorded it (RunTable2, RunTable3); RenderRows then appends a
+	// per-row traffic table so wire vs socket cost is visible next to
+	// the attack numbers.
 	Transport string
-	Traffic   transport.Stats
-	// Resilience is the run's non-zero fault/churn/Byzantine counter
-	// summary (RunResult.Resilience); RenderRows appends a resilience
-	// table when any row carries one.
-	Resilience string
 	// Metrics is the run's end-of-run registry snapshot
-	// (RunResult.Metrics). When present it is the source the traffic
-	// and resilience tables render from; rows without one (hand-built
-	// rows, older callers) fall back to the Traffic struct and the
-	// Resilience string, which are kept as tested views of the same
-	// counters.
+	// (RunResult.Metrics), the only source the traffic and resilience
+	// tables render from. A row without one renders no counters.
 	Metrics obs.Snapshot
 }
 
@@ -65,7 +56,7 @@ func RenderRows(title string, rows []AttackRow) string {
 }
 
 // resilienceKeys is the merged fed+gossip resilience counter order:
-// each protocol's Resilience.String declaration order is preserved (a
+// each protocol's Resilience field declaration order is preserved (a
 // run only ever populates one protocol's keys), mapped to the
 // resilience_* metric names the simulations register.
 var resilienceKeys = []struct{ key, metric string }{
@@ -87,13 +78,9 @@ var resilienceKeys = []struct{ key, metric string }{
 }
 
 // resilienceLine renders a row's non-zero resilience counters as
-// key=value pairs from its registry snapshot, matching the protocols'
-// Resilience.String output exactly; rows without a snapshot fall back
-// to the pre-rendered string.
+// space-separated key=value pairs from its registry snapshot, in
+// resilienceKeys order ("" when nothing happened).
 func resilienceLine(r AttackRow) string {
-	if r.Metrics == nil {
-		return r.Resilience
-	}
 	var b strings.Builder
 	for _, k := range resilienceKeys {
 		v := r.Metrics[k.metric]
@@ -110,9 +97,9 @@ func resilienceLine(r AttackRow) string {
 
 // renderResilience formats the per-run fault, churn and Byzantine
 // accounting of rows that recorded a non-zero counter: one line per
-// eventful run, the counters as key=value pairs (read from the row's
-// registry snapshot when it has one). Uneventful runs (and tables
-// without any resilience activity) print nothing.
+// eventful run, the counters as key=value pairs read from the row's
+// registry snapshot. Uneventful runs (and tables without any
+// resilience activity) print nothing.
 func renderResilience(rows []AttackRow) string {
 	lines := make([]string, len(rows))
 	any := false
@@ -136,35 +123,21 @@ func renderResilience(rows []AttackRow) string {
 	return b.String()
 }
 
-// trafficSnapshot returns the registry snapshot a row's traffic cells
-// render from: the row's own end-of-run snapshot, or the transport_*
-// view of its Traffic struct for rows that never carried one.
-func trafficSnapshot(r AttackRow) obs.Snapshot {
-	if r.Metrics != nil {
-		return r.Metrics
-	}
-	return transport.StatsSnapshot(r.Traffic)
-}
-
 // renderTraffic formats the per-run transport accounting of rows that
-// recorded it: point-to-point and broadcast volume, frame counts, the
-// socket backends' RPC round-trip/reconnect/retry counters, and —
+// recorded it: point-to-point and broadcast volume, the socket
+// backends' RPC round-trip/reconnect/retry counters, and —
 // when any run used the retry or fault layers — the timeout, give-up
 // and injected-fault columns. Runs carried by a compressing transport
 // additionally get the dense-equivalent volume and the compression
 // ratio, so the codec's saving is visible next to what actually moved.
-// All cells read from the rows' registry snapshots (see
-// trafficSnapshot), making the obs registry the rendering source of
-// truth.
+// All cells read from the rows' registry snapshots.
 func renderTraffic(rows []AttackRow) string {
-	snaps := make([]obs.Snapshot, len(rows))
 	any, resil, comp := false, false, false
-	for i, r := range rows {
+	for _, r := range rows {
 		if r.Transport != "" {
 			any = true
 		}
-		snaps[i] = trafficSnapshot(r)
-		st := snaps[i]
+		st := r.Metrics
 		if st["transport_retries_total"] > 0 || st["transport_timeouts_total"] > 0 ||
 			st["transport_gave_up_total"] > 0 || st["transport_injected_faults_total"] > 0 {
 			resil = true
@@ -179,9 +152,9 @@ func renderTraffic(rows []AttackRow) string {
 	}
 	var b strings.Builder
 	b.WriteString("-- transport traffic per run --\n")
-	fmt.Fprintf(&b, "%-12s %-6s %-22s %-11s %8s %9s %8s %9s %8s %7s %6s",
+	fmt.Fprintf(&b, "%-12s %-6s %-22s %-11s %8s %9s %8s %9s %7s %6s",
 		"dataset", "model", "setting", "backend",
-		"msgs", "MB", "bcasts", "bcastMB", "chunks", "rtrips", "reconn")
+		"msgs", "MB", "bcasts", "bcastMB", "rtrips", "reconn")
 	if comp {
 		fmt.Fprintf(&b, " %9s %6s", "rawMB", "ratio")
 	}
@@ -189,17 +162,17 @@ func renderTraffic(rows []AttackRow) string {
 		fmt.Fprintf(&b, " %7s %8s %6s %6s", "retries", "timeouts", "gaveup", "faults")
 	}
 	b.WriteByte('\n')
-	for i, r := range rows {
+	for _, r := range rows {
 		if r.Transport == "" {
 			continue
 		}
-		st := snaps[i]
+		st := r.Metrics
 		count := func(name string) int64 { return int64(st[name]) }
-		fmt.Fprintf(&b, "%-12s %-6s %-22s %-11s %8d %9.2f %8d %9.2f %8d %7d %6d",
+		fmt.Fprintf(&b, "%-12s %-6s %-22s %-11s %8d %9.2f %8d %9.2f %7d %6d",
 			r.Dataset, r.Model, r.Setting, r.Transport,
 			count("transport_messages_total"), st["transport_bytes_total"]/(1<<20),
 			count("transport_broadcast_messages_total"), st["transport_broadcast_bytes_total"]/(1<<20),
-			count("transport_chunks_total"), count("transport_round_trips_total"), count("transport_reconnects_total"))
+			count("transport_round_trips_total"), count("transport_reconnects_total"))
 		if comp {
 			raw := st["transport_raw_bytes_total"] + st["transport_raw_broadcast_bytes_total"]
 			moved := st["transport_bytes_total"] + st["transport_broadcast_bytes_total"]
@@ -249,7 +222,7 @@ func RunTable2(spec Spec) ([]AttackRow, error) {
 		}
 		rows[i] = AttackRow{
 			Dataset: c.dataset, Model: c.family, Setting: "FL", Result: res.Attack,
-			Transport: res.TransportName, Traffic: res.Traffic, Resilience: res.Resilience, Metrics: res.Metrics,
+			Transport: res.TransportName, Metrics: res.Metrics,
 		}
 		return nil
 	})
@@ -292,7 +265,7 @@ func RunTable3(spec Spec) ([]AttackRow, error) {
 		}
 		rows[i] = AttackRow{
 			Dataset: c.dataset, Model: c.family, Setting: c.variant.String(), Result: res.Attack,
-			Transport: res.TransportName, Traffic: res.Traffic, Resilience: res.Resilience, Metrics: res.Metrics,
+			Transport: res.TransportName, Metrics: res.Metrics,
 		}
 		return nil
 	})

@@ -118,7 +118,6 @@ func BenchmarkWireRound(b *testing.B) {
 	}{
 		{"inproc", "inproc", param.Compression{}},
 		{"wire", "wire", param.Compression{}},
-		{"wire-chunked", "wire-chunked", param.Compression{}},
 		{"wire/c8", "wire", param.Compression{Bits: 8}},
 		{"wire/c16", "wire", param.Compression{Bits: 16}},
 	}

@@ -22,7 +22,7 @@ func TestDropoutReducesUploads(t *testing.T) {
 	if got := float64(obs.uploads); got < 0.4*expected || got > 1.4*expected {
 		t.Fatalf("uploads = %v, want ~%v under 40%% dropout", got, expected)
 	}
-	if got := s.Traffic().Messages; got != obs.uploads {
+	if got := s.TransportStats().Messages; got != int64(obs.uploads) {
 		t.Fatalf("traffic messages %d != observed uploads %d", got, obs.uploads)
 	}
 }
@@ -69,12 +69,12 @@ func TestTrafficAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run()
-	tr := s.Traffic()
-	if tr.Messages != d.NumUsers*2 {
+	tr := s.TransportStats()
+	if tr.Messages != int64(d.NumUsers*2) {
 		t.Fatalf("messages = %d, want %d", tr.Messages, d.NumUsers*2)
 	}
-	perMsg := s.Global().Params().WireBytes()
-	if tr.Bytes != int64(tr.Messages*perMsg) {
+	perMsg := int64(s.Global().Params().WireBytes())
+	if tr.Bytes != tr.Messages*perMsg {
 		t.Fatalf("bytes = %d, want %d", tr.Bytes, tr.Messages*perMsg)
 	}
 }
@@ -98,8 +98,8 @@ func TestTrafficShrinksUnderShareLess(t *testing.T) {
 	}
 	sSL.Run()
 
-	if sSL.Traffic().Bytes >= sFull.Traffic().Bytes {
+	if sSL.TransportStats().Bytes >= sFull.TransportStats().Bytes {
 		t.Fatalf("share-less should shrink messages: %d >= %d",
-			sSL.Traffic().Bytes, sFull.Traffic().Bytes)
+			sSL.TransportStats().Bytes, sFull.TransportStats().Bytes)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -244,14 +243,6 @@ type clientState struct {
 	privateRows map[string][]float64
 }
 
-// Traffic is the client → server upload accounting, mirrored from the
-// transport's point-to-point counters. The global-model broadcast is
-// accounted separately: see TransportStats.
-type Traffic struct {
-	Messages int
-	Bytes    int64
-}
-
 // Simulation is a running federated system. Create with New, then call
 // Run (or RunRound repeatedly).
 type Simulation struct {
@@ -352,40 +343,6 @@ func (s *Simulation) Resilience() Resilience {
 		r.Rejoins = s.membership.Rejoins()
 	}
 	return r
-}
-
-// String renders the non-zero counters as space-separated key=value
-// pairs in declaration order ("" when nothing happened), the form the
-// experiment tables print per run.
-func (r Resilience) String() string {
-	var b strings.Builder
-	add := func(key string, v int64) {
-		if v == 0 {
-			return
-		}
-		if b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", key, v)
-	}
-	add("blackouts", r.BlackoutRounds)
-	add("deliver-failures", r.DeliverFailures)
-	add("upload-failures", r.UploadFailures)
-	add("stragglers", r.Stragglers)
-	add("quorum-misses", r.QuorumMisses)
-	add("joins", r.Joins)
-	add("leaves", r.Leaves)
-	add("rejoins", r.Rejoins)
-	add("byzantine-uploads", r.ByzantineUploads)
-	add("clipped-uploads", r.ClippedUploads)
-	return b.String()
-}
-
-// Traffic returns the accumulated upload statistics (the transport's
-// point-to-point counters).
-func (s *Simulation) Traffic() Traffic {
-	st := s.tr.Stats()
-	return Traffic{Messages: int(st.Messages), Bytes: st.Bytes}
 }
 
 // TransportStats returns the transport's full traffic accounting,

@@ -10,6 +10,16 @@ import (
 	"github.com/collablearn/ciarec/internal/transport"
 )
 
+// sends is the point-to-point (upload) accounting every backend and
+// worker count must agree on. Broadcast counters are checked where a
+// test needs them; RPC round-trips legitimately differ by backend.
+type sends struct{ Messages, Bytes int64 }
+
+func sendsOf(s *Simulation) sends {
+	st := s.TransportStats()
+	return sends{st.Messages, st.Bytes}
+}
+
 // runWithTransport executes a fresh simulation from cfg on the named
 // transport backend and returns the final global parameters plus the
 // per-round HR/F1 utility curves.
@@ -36,12 +46,12 @@ func runWithTransport(t *testing.T, cfg Config, backend string) (*Simulation, *p
 
 // The tentpole guarantee of the pluggable round transport: for every
 // (policy, model, workers) cell, routing all parameter traffic through
-// the serializing backends — the wire codec (plain and chunk-framed)
-// and the socket RPC path over a loopback Unix-domain socket server —
-// produces byte-identical final models, identical utility curves and
-// identical upload accounting to the in-memory backend. CI runs this
-// under -race, which also exercises concurrent wire encode/decode and
-// concurrent RPC round-trips from the worker pool.
+// the serializing backends — the wire codec and the socket RPC path
+// over a loopback Unix-domain socket server — produces byte-identical
+// final models, identical utility curves and identical upload
+// accounting to the in-memory backend. CI runs this under -race, which
+// also exercises concurrent wire encode/decode and concurrent RPC
+// round-trips from the worker pool.
 func TestTransportBackendEquivalence(t *testing.T) {
 	d := fedTestDataset(t)
 	policies := map[string]defense.Policy{
@@ -63,7 +73,7 @@ func TestTransportBackendEquivalence(t *testing.T) {
 					cfg.Rounds = 3
 					cfg.Workers = workers
 					refSim, refParams, refHR, refF1 := runWithTransport(t, cfg, "inproc")
-					for _, backend := range []string{"wire", "wire-chunked", "socket"} {
+					for _, backend := range []string{"wire", "socket"} {
 						sim, params, hr, f1 := runWithTransport(t, cfg, backend)
 						if !param.Equal(refParams, params, 0) {
 							t.Fatalf("%s final global params differ from inproc", backend)
@@ -73,8 +83,8 @@ func TestTransportBackendEquivalence(t *testing.T) {
 								t.Fatalf("%s utility curve differs from inproc at round %d", backend, r)
 							}
 						}
-						if sim.Traffic() != refSim.Traffic() {
-							t.Fatalf("%s traffic %+v != inproc %+v", backend, sim.Traffic(), refSim.Traffic())
+						if sendsOf(sim) != sendsOf(refSim) {
+							t.Fatalf("%s traffic %+v != inproc %+v", backend, sendsOf(sim), sendsOf(refSim))
 						}
 						ws, is := sim.TransportStats(), refSim.TransportStats()
 						if ws.BroadcastMessages != is.BroadcastMessages || ws.BroadcastBytes != is.BroadcastBytes {
@@ -107,8 +117,8 @@ func TestTransportEquivalenceWithDropoutAndSampling(t *testing.T) {
 				t.Fatalf("%s utility differs at round %d", backend, r)
 			}
 		}
-		if sim.Traffic() != refSim.Traffic() {
-			t.Fatalf("%s traffic %+v != %+v", backend, sim.Traffic(), refSim.Traffic())
+		if sendsOf(sim) != sendsOf(refSim) {
+			t.Fatalf("%s traffic %+v != %+v", backend, sendsOf(sim), sendsOf(refSim))
 		}
 	}
 }
@@ -142,7 +152,7 @@ func TestTransportObserverSequence(t *testing.T) {
 		return log
 	}
 	ref := record("inproc")
-	for _, backend := range []string{"wire", "wire-chunked", "socket"} {
+	for _, backend := range []string{"wire", "socket"} {
 		got := record(backend)
 		if len(ref) != len(got) {
 			t.Fatalf("%s observation count %d != inproc %d", backend, len(got), len(ref))

@@ -18,8 +18,8 @@ func TestLossProbDropsMessages(t *testing.T) {
 	if got := float64(len(obs.msgs)); got < 0.5*expected || got > 1.5*expected {
 		t.Fatalf("delivered = %v, want ~%v under 50%% loss", got, expected)
 	}
-	if s.Traffic().Messages != len(obs.msgs) {
-		t.Fatalf("traffic %d != observed %d", s.Traffic().Messages, len(obs.msgs))
+	if got := s.TransportStats().Messages; got != int64(len(obs.msgs)) {
+		t.Fatalf("traffic %d != observed %d", got, len(obs.msgs))
 	}
 }
 
@@ -61,14 +61,14 @@ func TestGossipTrafficAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run()
-	tr := s.Traffic()
-	if tr.Messages != d.NumUsers*3 {
+	tr := s.TransportStats()
+	if tr.Messages != int64(d.NumUsers*3) {
 		t.Fatalf("messages = %d, want %d", tr.Messages, d.NumUsers*3)
 	}
 	if tr.Bytes <= 0 {
 		t.Fatal("no bytes accounted")
 	}
-	perMsg := tr.Bytes / int64(tr.Messages)
+	perMsg := tr.Bytes / tr.Messages
 	if perMsg != int64(s.Node(0).Params().WireBytes()) {
 		t.Fatalf("per-message bytes %d != model wire size %d",
 			perMsg, s.Node(0).Params().WireBytes())

@@ -22,7 +22,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"github.com/collablearn/ciarec/internal/attack"
@@ -243,13 +242,6 @@ type node struct {
 	probe []int
 }
 
-// Traffic is the delivered-message accounting, mirrored from the
-// transport's point-to-point counters.
-type Traffic struct {
-	Messages int
-	Bytes    int64
-}
-
 // Simulation is a running gossip system. Create with New, then call
 // Run (or RunRound repeatedly).
 type Simulation struct {
@@ -319,43 +311,11 @@ func (s *Simulation) Resilience() Resilience {
 	return r
 }
 
-// String renders the non-zero counters as space-separated key=value
-// pairs in declaration order ("" when nothing happened), the form the
-// experiment tables print per run.
-func (r Resilience) String() string {
-	var b strings.Builder
-	add := func(key string, v int64) {
-		if v == 0 {
-			return
-		}
-		if b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", key, v)
-	}
-	add("lost-pushes", r.LostPushes)
-	add("skipped-peers", r.SkippedPeers)
-	add("absent-skips", r.AbsentSkips)
-	add("joins", r.Joins)
-	add("leaves", r.Leaves)
-	add("rejoins", r.Rejoins)
-	add("stale-resets", r.StaleResets)
-	add("byzantine-pushes", r.ByzantinePushes)
-	return b.String()
-}
-
 // push is one node's (possibly absent) outgoing transfer for the
 // current round, computed in parallel and delivered sequentially.
 type push struct {
 	to      int // -1 when the node stays silent or the message is lost
 	payload *param.Set
-}
-
-// Traffic returns the accumulated delivered-message statistics (the
-// transport's point-to-point counters).
-func (s *Simulation) Traffic() Traffic {
-	st := s.tr.Stats()
-	return Traffic{Messages: int(st.Messages), Bytes: st.Bytes}
 }
 
 // TransportStats returns the transport's full traffic accounting.

@@ -126,7 +126,7 @@ func TestResilienceGossipChurnFreezesAbsentNodes(t *testing.T) {
 			t.Fatalf("node %d trained while the whole network was absent", u)
 		}
 	}
-	if tr := s.Traffic(); tr.Messages != 0 {
+	if tr := s.TransportStats(); tr.Messages != 0 {
 		t.Fatalf("%d messages moved in an all-absent network", tr.Messages)
 	}
 	r := s.Resilience()

@@ -2,8 +2,10 @@ package param
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestSerializeRoundTrip(t *testing.T) {
@@ -89,5 +91,100 @@ func TestWireBytesMatchesModelScale(t *testing.T) {
 	want := 4 + 4 + (4 + 1 + 8 + 8*40)
 	if got := s.WireBytes(); got != want {
 		t.Fatalf("WireBytes = %d, want %d", got, want)
+	}
+}
+
+// Every decoder entry point must reassemble values that straddle short
+// reads: a network stream hands the codec whatever bytes have arrived.
+// Each stream (dense CPS1, and CPQ1 at both widths both absolute and
+// delta-coded against a reference that differs from the source) is
+// decoded through fragmenting readers on both codec paths and must
+// equal the decode from one contiguous reader.
+func TestDecodeFragmentedReads(t *testing.T) {
+	src := quantTestPayloads(61)
+	ref := src.Clone()
+	for i := 0; i < ref.Len(); i++ {
+		d := ref.At(i).Data
+		for j := 0; j < len(d); j += 7 {
+			d[j] += 0.5 // sparse delta: most coordinates still match
+		}
+	}
+	smooth := ref.Get("smooth")
+	for j := range smooth {
+		smooth[j] -= 0.25 // dense delta
+	}
+	readers := map[string]func(io.Reader) io.Reader{
+		"one-byte": iotest.OneByteReader,
+		"half":     iotest.HalfReader,
+		"data-err": iotest.DataErrReader,
+	}
+	cases := []struct {
+		name string
+		bits int
+		ref  *Set
+	}{
+		{"dense", 0, nil},
+		{"c8", 8, nil},
+		{"c16", 16, nil},
+		{"c8-delta", 8, ref},
+		{"c16-delta", 16, ref},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		var err error
+		if c.bits == 0 {
+			_, err = src.WriteTo(&buf)
+		} else {
+			_, err = src.WriteCompressedTo(&buf, Compression{Bits: c.bits}, c.ref)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := buf.Bytes()
+		// Delta-coded streams only decode against their reference.
+		decoders := map[string]func(io.Reader) (*Set, int64, error){
+			"DecodeFromRef": func(r io.Reader) (*Set, int64, error) {
+				dst := src.Clone()
+				dst.Scale(0)
+				n, err := dst.DecodeFromRef(r, c.ref)
+				return dst, n, err
+			},
+		}
+		if c.ref == nil {
+			decoders["ReadFrom"] = func(r io.Reader) (*Set, int64, error) {
+				dst := New()
+				n, err := dst.ReadFrom(r)
+				return dst, n, err
+			}
+			decoders["DecodeFrom"] = func(r io.Reader) (*Set, int64, error) {
+				dst := src.Clone()
+				dst.Scale(0)
+				n, err := dst.DecodeFrom(r)
+				return dst, n, err
+			}
+		}
+		for _, portable := range []bool{false, true} {
+			run := func(f func()) { f() }
+			if portable {
+				run = func(f func()) { withPortableCodec(t, f) }
+			}
+			for dname, decode := range decoders {
+				run(func() {
+					want, wantN, err := decode(bytes.NewReader(stream))
+					if err != nil {
+						t.Fatalf("%s %s contiguous: %v", c.name, dname, err)
+					}
+					for rname, wrap := range readers {
+						got, n, err := decode(wrap(bytes.NewReader(stream)))
+						if err != nil {
+							t.Fatalf("%s %s %s (portable=%v): %v", c.name, dname, rname, portable, err)
+						}
+						if n != wantN || !Equal(want, got, 0) {
+							t.Fatalf("%s %s %s (portable=%v): decode differs from the contiguous one", c.name, dname, rname, portable)
+						}
+					}
+				})
+			}
+		}
 	}
 }

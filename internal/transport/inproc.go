@@ -72,7 +72,6 @@ func (t *Inproc) Send(round, _ int, payload *param.Set, _ *param.Buffers) (*para
 	t.messages.Add(1)
 	t.bytes.Add(n)
 	t.rawBytes.Add(wire)
-	t.chunks.Add(1)
 	return payload, nil
 }
 
@@ -115,7 +114,6 @@ func (b *inprocBroadcast) Deliver(_ int, dst *param.Set) error {
 	b.t.bMessages.Add(1)
 	b.t.bBytes.Add(b.n)
 	b.t.rawBBytes.Add(b.wire)
-	b.t.chunks.Add(1)
 	return nil
 }
 

@@ -12,7 +12,6 @@ var statsMetrics = []struct {
 	{"transport_bytes_total", func(s Stats) int64 { return s.Bytes }},
 	{"transport_broadcast_messages_total", func(s Stats) int64 { return s.BroadcastMessages }},
 	{"transport_broadcast_bytes_total", func(s Stats) int64 { return s.BroadcastBytes }},
-	{"transport_chunks_total", func(s Stats) int64 { return s.Chunks }},
 	{"transport_raw_bytes_total", func(s Stats) int64 { return s.RawBytes }},
 	{"transport_raw_broadcast_bytes_total", func(s Stats) int64 { return s.RawBroadcastBytes }},
 	{"transport_round_trips_total", func(s Stats) int64 { return s.RoundTrips }},
@@ -36,15 +35,4 @@ func RegisterStats(reg *obs.Registry, tr Transport) {
 		get := m.get
 		reg.RegisterFunc(m.name, func() float64 { return float64(get(tr.Stats())) })
 	}
-}
-
-// StatsSnapshot renders st under the same transport_* metric names
-// RegisterStats uses — the fallback the table renderers take for rows
-// that carry a plain Stats value but no registry snapshot.
-func StatsSnapshot(st Stats) obs.Snapshot {
-	out := make(obs.Snapshot, len(statsMetrics))
-	for _, m := range statsMetrics {
-		out[m.name] = float64(m.get(st))
-	}
-	return out
 }

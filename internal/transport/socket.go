@@ -188,7 +188,6 @@ func (t *Socket) Send(round, from int, payload *param.Set, pool *param.Buffers) 
 	t.messages.Add(1)
 	t.bytes.Add(n)
 	t.rawBytes.Add(wire)
-	t.chunks.Add(1)
 	return recv, nil
 }
 
@@ -241,7 +240,6 @@ func (b *socketBroadcast) Deliver(_ int, dst *param.Set) error {
 	b.t.bMessages.Add(1)
 	b.t.bBytes.Add(b.n)
 	b.t.rawBBytes.Add(b.wire)
-	b.t.chunks.Add(1)
 	return nil
 }
 

@@ -5,16 +5,15 @@
 // engine plugs in — the simulators speak only to the Transport
 // interface, never to each other's memory.
 //
-// Five backends ship today:
+// Four backends ship today:
 //
 //   - Inproc passes payload pointers through unchanged — the
 //     historical in-memory behaviour, byte-identical to the
 //     pre-transport simulators.
 //   - Wire round-trips every payload through the binary codec
-//     (param.Set WriteTo → pooled byte buffers → DecodeFrom),
-//     optionally reading across fixed-size chunk frames ("wire" /
-//     "wire-chunked"). It proves that a deployment which actually
-//     serializes its traffic computes exactly the same models.
+//     (param.Set WriteTo → pooled byte buffers → DecodeFrom). It
+//     proves that a deployment which actually serializes its traffic
+//     computes exactly the same models.
 //   - Socket ("socket" over a Unix-domain socket, "socket-tcp" over
 //     TCP) pushes every payload through the framed RPC protocol of
 //     internal/transport/rpc against a real socket server: each Send
@@ -124,10 +123,6 @@ type Stats struct {
 	// deliveries (the fed global-model download).
 	BroadcastMessages int64
 	BroadcastBytes    int64
-	// Chunks counts wire framing units (equal to Messages +
-	// BroadcastMessages for unchunked backends, including socket, whose
-	// RPC frames each carry a whole payload).
-	Chunks int64
 	// RawBytes and RawBroadcastBytes are the dense-codec sizes of the
 	// same traffic (param.Set.WireBytes summed per transfer): what the
 	// payloads would have cost without compression. With compression
@@ -209,7 +204,6 @@ type Broadcast interface {
 type counters struct {
 	messages, bytes     atomic.Int64
 	bMessages, bBytes   atomic.Int64
-	chunks              atomic.Int64
 	rawBytes, rawBBytes atomic.Int64
 }
 
@@ -219,7 +213,6 @@ func (c *counters) Stats() Stats {
 		Bytes:             c.bytes.Load(),
 		BroadcastMessages: c.bMessages.Load(),
 		BroadcastBytes:    c.bBytes.Load(),
-		Chunks:            c.chunks.Load(),
 		RawBytes:          c.rawBytes.Load(),
 		RawBroadcastBytes: c.rawBBytes.Load(),
 	}
@@ -259,7 +252,7 @@ const FaultyPrefix = "faulty:"
 // selects inproc). Any of them can additionally be wrapped in the
 // fault injector via the "faulty:" prefix, e.g. "faulty:wire".
 func Names() []string {
-	return []string{"inproc", "wire", "wire-chunked", "socket", "socket-tcp"}
+	return []string{"inproc", "wire", "socket", "socket-tcp"}
 }
 
 // Known reports whether name selects a backend — a base name, the
@@ -280,14 +273,13 @@ func Known(name string) bool {
 }
 
 // New builds a fresh transport instance for a backend name: "inproc"
-// (or ""), "wire", "wire-chunked" (wire with DefaultChunkBytes
-// framing), "socket" (RPC over an in-process loopback Unix-domain
-// socket server), "socket-tcp" (the same over loopback TCP), or any of
-// those behind the "faulty:" fault-injection prefix. Each call returns
-// an independent instance with its own stats; the caller owns the
-// instance and Closes it when the simulation is done. To reach an
-// external worker process instead of a loopback server, use Dial; to
-// attach a FaultPlan or RetryPolicy, use NewOptions.
+// (or ""), "wire", "socket" (RPC over an in-process loopback
+// Unix-domain socket server), "socket-tcp" (the same over loopback
+// TCP), or any of those behind the "faulty:" fault-injection prefix.
+// Each call returns an independent instance with its own stats; the
+// caller owns the instance and Closes it when the simulation is done.
+// To reach an external worker process instead of a loopback server,
+// use Dial; to attach a FaultPlan or RetryPolicy, use NewOptions.
 func New(name string) (Transport, error) {
 	return NewOptions(name, Options{})
 }
@@ -307,10 +299,6 @@ func NewOptions(name string, o Options) (Transport, error) {
 		t = ip
 	case "wire":
 		w := NewWire()
-		w.comp = o.Compression
-		t = w
-	case "wire-chunked":
-		w := NewChunkedWire(DefaultChunkBytes)
 		w.comp = o.Compression
 		t = w
 	case "socket":

@@ -69,33 +69,32 @@ func TestInprocSendPassesPointerThrough(t *testing.T) {
 		t.Fatal("inproc Send must return the same set")
 	}
 	st := tr.Stats()
-	if st.Messages != 1 || st.Bytes != int64(payload.WireBytes()) || st.Chunks != 1 {
+	if st.Messages != 1 || st.Bytes != int64(payload.WireBytes()) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestWireSendRoundTripsValues(t *testing.T) {
-	for _, tr := range []Transport{NewWire(), NewChunkedWire(64)} {
-		t.Run(tr.Name(), func(t *testing.T) {
-			var pool param.Buffers
-			payload := testSet(1)
-			want := payload.Clone()
-			got, err := tr.Send(0, 0, payload, &pool)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got == payload {
-				t.Fatal("wire Send must not return the sender's set")
-			}
-			if !param.Equal(want, got, 0) {
-				t.Fatal("wire Send changed values")
-			}
-			st := tr.Stats()
-			if st.Messages != 1 || st.Bytes != int64(want.WireBytes()) {
-				t.Fatalf("stats = %+v, want 1 message of %d bytes", st, want.WireBytes())
-			}
-		})
-	}
+	tr := NewWire()
+	t.Run(tr.Name(), func(t *testing.T) {
+		var pool param.Buffers
+		payload := testSet(1)
+		want := payload.Clone()
+		got, err := tr.Send(0, 0, payload, &pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == payload {
+			t.Fatal("wire Send must not return the sender's set")
+		}
+		if !param.Equal(want, got, 0) {
+			t.Fatal("wire Send changed values")
+		}
+		st := tr.Stats()
+		if st.Messages != 1 || st.Bytes != int64(want.WireBytes()) {
+			t.Fatalf("stats = %+v, want 1 message of %d bytes", st, want.WireBytes())
+		}
+	})
 }
 
 // The wire backend's received sets must not alias the sender's
@@ -108,31 +107,6 @@ func TestWireSendDoesNotAlias(t *testing.T) {
 	payload.Get("item_emb")[0] = 1e9
 	if got.Get("item_emb")[0] == 1e9 {
 		t.Fatal("received set aliases sender storage")
-	}
-}
-
-// Chunk framing must not change delivered bytes, only the Chunks
-// accounting.
-func TestChunkedWireAccounting(t *testing.T) {
-	chunk := 128
-	tr := NewChunkedWire(chunk)
-	var pool param.Buffers
-	payload := testSet(1)
-	wire := int64(payload.WireBytes())
-	got, err := tr.Send(0, 0, payload, &pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !param.Equal(testSet(1), got, 0) {
-		t.Fatal("chunked send changed values")
-	}
-	st := tr.Stats()
-	wantChunks := (wire + int64(chunk) - 1) / int64(chunk)
-	if st.Chunks != wantChunks {
-		t.Fatalf("chunks = %d, want %d", st.Chunks, wantChunks)
-	}
-	if wantChunks < 2 {
-		t.Fatalf("test payload too small to exercise framing (%d bytes)", wire)
 	}
 }
 

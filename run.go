@@ -82,9 +82,6 @@ const (
 	// TransportWire round-trips every transfer through the binary wire
 	// codec using pooled buffers.
 	TransportWire TransportKind = "wire"
-	// TransportWireChunked is TransportWire with fixed-size frame
-	// reassembly on the receive path.
-	TransportWireChunked TransportKind = "wire-chunked"
 	// TransportSocket pushes every transfer through the framed RPC
 	// protocol over a Unix-domain socket: against an in-process
 	// loopback server by default, or an external ciaworker process
