@@ -4,7 +4,7 @@ BENCH_COUNT ?= 6
 # The microbenchmarks `make bench` samples and `make bench-smoke` (CI)
 # runs once at smoke size: round engine, eval engines, scoring and
 # codec kernels.
-BENCH_RE = BenchmarkFedRound|BenchmarkObsOverhead|BenchmarkGossipCycle|BenchmarkParamClone|BenchmarkUtilityHR|BenchmarkUtilityF1|BenchmarkFedAggregate|BenchmarkWireRound|BenchmarkSocketRound|BenchmarkScoreItems|BenchmarkCodecThroughput|BenchmarkCIAEndRound
+BENCH_RE = BenchmarkFedRound|BenchmarkObsOverhead|BenchmarkGossipCycle|BenchmarkParamClone|BenchmarkUtilityHR|BenchmarkUtilityF1|BenchmarkFedAggregate|BenchmarkWireRound|BenchmarkSocketRound|BenchmarkScoreItems|BenchmarkCodecThroughput|BenchmarkCIAEndRound|BenchmarkTrainLocal
 BENCH_PKGS = ./internal/fed/ ./internal/gossip/ ./internal/param/ ./internal/model/ ./internal/attack/
 
 .PHONY: all build vet lint test race fuzz chaos bench bench-smoke bench-tables bench-compare perfbench

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -520,6 +521,7 @@ func (s *Simulation) RunRound() {
 	}
 	fold := s.startFold(round, sampled)
 	parx.ForEach(s.workers, len(sampled), func(w, i int) {
+		fold.admit(i)
 		payload := s.clientRound(round, sampled[i], w, s.scratches[w], bcast)
 		switch {
 		case payload == nil:
@@ -698,12 +700,18 @@ type routedRow struct {
 // arrival in turn observes it (Alg. 1, line 6), excludes it if it is a
 // straggler, folds its weighted delta into the accumulator (raw
 // weights — the 1/totalW normalization is applied once at the end,
-// when totalW is known) and recycles the payload. Live payloads are
-// bounded by the out-of-order window between the cursor and the
-// fastest worker, not by the round's sample size. The global model is
-// only read during the round (concurrently with broadcast deliveries —
-// also reads) and only written in finishFold, after the parallel
-// region and the broadcast close.
+// when totalW is known) and recycles the payload.
+//
+// Resolving never blocks a worker, so on a CPU-saturated host the fold
+// goroutine may not run for a long stretch while workers train ahead.
+// The fold window bounds that: a worker starts sample index i only once
+// i < cursor + 2·workers (admit), so at most 2·workers clients are in
+// flight or staged past the cursor, whatever the round's sample size.
+// parx.ForEach hands out indices in increasing order, so the cursor's
+// own index is always admitted and the window cannot deadlock. The
+// global model is only read during the round (concurrently with
+// broadcast deliveries — also reads) and only written in finishFold,
+// after the parallel region and the broadcast close.
 //
 // Determinism: the fold order is the sampling order whatever the
 // worker interleaving, and every float operation sequence is fixed, so
@@ -722,6 +730,11 @@ type folder struct {
 	totalW  float64
 	routed  []routedRow
 	rows    []float64 // routed rows' values
+	// The fold window: cursor is the next sample index to consume,
+	// published under mu; moved is signalled whenever it advances.
+	mu     sync.Mutex
+	moved  sync.Cond
+	cursor int
 	// Robust-aggregator staging: coordinate-wise order statistics need
 	// every upload's column at once, so under AggMedian/AggTrimmedMean
 	// the folder keeps the payloads (still consumed in sampling order —
@@ -759,6 +772,7 @@ func (s *Simulation) startFold(round int, sampled []int) *folder {
 		robust:  s.cfg.Aggregator.robust(),
 		stage:   f.stage[:0],
 	}
+	f.moved.L = &f.mu
 	mathx.Zero(s.aggBuf)
 	go f.run()
 	return f
@@ -779,6 +793,15 @@ func falses(b []bool, n int) []bool {
 // channel send publishes the payload write to the folder goroutine.
 func (f *folder) resolve(i int) { f.ch <- i }
 
+// admit blocks a worker until sample index i is inside the fold window.
+func (f *folder) admit(i int) {
+	f.mu.Lock()
+	for i >= f.cursor+2*f.s.workers {
+		f.moved.Wait()
+	}
+	f.mu.Unlock()
+}
+
 func (f *folder) run() {
 	defer close(f.done)
 	next := 0
@@ -787,6 +810,10 @@ func (f *folder) run() {
 		for next < n && f.ready[next] {
 			f.consume(next)
 			next++
+			f.mu.Lock()
+			f.cursor = next
+			f.mu.Unlock()
+			f.moved.Broadcast()
 		}
 	}
 }

@@ -286,11 +286,61 @@ func Dot3(a, b, c []float64) float64 {
 	if len(a) != len(b) || len(a) != len(c) {
 		panic(fmt.Sprintf("mathx: Dot3 length mismatch %d, %d, %d", len(a), len(b), len(c)))
 	}
+	// Re-slicing to len(a) lets the compiler drop the bounds checks.
+	b, c = b[:len(a)], c[:len(a)]
 	var s float64
-	for i := range a {
-		s += a[i] * b[i] * c[i]
+	for i, x := range a {
+		s += x * b[i] * c[i]
 	}
 	return s
+}
+
+// Step3 applies one SGD step to the three factors of a triple-product
+// logit Σ h[k]·p[k]·q[k] with loss gradient g: for every k it forms
+// dp = g·h·q, dq = g·h·p and dh = g·p·q from the values before the
+// step, then writes
+//
+//	p[k] -= lr·dp + decay·p[k]
+//	q[k] -= lr·dq + decay·q[k]
+//	h[k] -= lr·dh
+//
+// (decay is the caller's LR·L2; h is not decayed). Element k only
+// reads and writes index k, so the single fused pass is bit-identical
+// to computing every gradient first and updating afterwards. p, q and
+// h must not alias. It panics if the lengths differ.
+func Step3(g, lr, decay float64, h, p, q []float64) {
+	if len(p) != len(h) || len(q) != len(h) {
+		panic(fmt.Sprintf("mathx: Step3 length mismatch %d, %d, %d", len(h), len(p), len(q)))
+	}
+	p, q = p[:len(h)], q[:len(h)]
+	for k, hk := range h {
+		pk, qk := p[k], q[k]
+		dp := g * hk * qk
+		dq := g * hk * pk
+		dh := g * pk * qk
+		p[k] = pk - (lr*dp + decay*pk)
+		q[k] = qk - (lr*dq + decay*qk)
+		h[k] = hk - lr*dh
+	}
+}
+
+// Step3NormSq returns the squared L2 norm of the gradient Step3 would
+// apply, bias included: Σ (dp² + dq² + dh²) + g², accumulated
+// sequentially in k (the per-example clip norm of GMF's DP-SGD path,
+// whose order the golden hashes pin). It panics if the lengths differ.
+func Step3NormSq(g float64, h, p, q []float64) float64 {
+	if len(p) != len(h) || len(q) != len(h) {
+		panic(fmt.Sprintf("mathx: Step3NormSq length mismatch %d, %d, %d", len(h), len(p), len(q)))
+	}
+	p, q = p[:len(h)], q[:len(h)]
+	var s float64
+	for k, hk := range h {
+		dp := g * hk * q[k]
+		dq := g * hk * p[k]
+		dh := g * p[k] * q[k]
+		s += dp*dp + dq*dq + dh*dh
+	}
+	return s + g*g
 }
 
 // AxpyDiff computes dst += alpha*(x - y) element-wise — the weighted

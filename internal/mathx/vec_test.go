@@ -274,3 +274,101 @@ func TestDot3PanicsOnMismatch(t *testing.T) {
 	}()
 	Dot3([]float64{1}, []float64{1, 2}, []float64{1})
 }
+
+// refStep3 is GMF's two-pass SGD step as written before the fused
+// kernel: every gradient into its own buffer (accumulating the clip sum
+// on the way), then the update pass with the decay term spelled out.
+func refStep3(g, lr, baseLR, l2 float64, h, p, q []float64) (sq float64) {
+	n := len(h)
+	dP, dQ, dH := make([]float64, n), make([]float64, n), make([]float64, n)
+	for k := 0; k < n; k++ {
+		dP[k] = g * h[k] * q[k]
+		dQ[k] = g * h[k] * p[k]
+		dH[k] = g * p[k] * q[k]
+		sq += dP[k]*dP[k] + dQ[k]*dQ[k] + dH[k]*dH[k]
+	}
+	sq += g * g
+	for k := 0; k < n; k++ {
+		p[k] -= lr*dP[k] + baseLR*l2*p[k]
+		q[k] -= lr*dQ[k] + baseLR*l2*q[k]
+		h[k] -= lr * dH[k]
+	}
+	return sq
+}
+
+// step3Inputs returns factor vectors of length n; special seeds a few
+// lanes with ±0 and ±Inf.
+func step3Inputs(n int, seed uint64, special bool) (h, p, q []float64) {
+	h, p, q = seamVec(n, seed), seamVec(n, seed+1), seamVec(n, seed+2)
+	if special {
+		vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+		for i, v := range vals {
+			if k := (i * 5) % n; i%2 == 0 {
+				p[k] = v
+			} else {
+				q[(k+1)%n] = v
+			}
+		}
+		h[n-1] = math.Copysign(0, -1)
+	}
+	return h, p, q
+}
+
+func sameBits(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+func TestStep3BitIdentical(t *testing.T) {
+	const baseLR = 0.05
+	for n := 1; n <= 33; n++ {
+		for _, g := range []float64{0.731, -0.268, math.Copysign(0, -1)} {
+			for _, l2 := range []float64{1e-5, 0} {
+				for _, special := range []bool{false, true} {
+					for _, lr := range []float64{baseLR, baseLR * 0.4173} {
+						h, p, q := step3Inputs(n, uint64(n), special)
+						wh, wp, wq := append([]float64(nil), h...), append([]float64(nil), p...), append([]float64(nil), q...)
+						wantSq := refStep3(g, lr, baseLR, l2, wh, wp, wq)
+						gotSq := Step3NormSq(g, h, p, q)
+						if math.Float64bits(gotSq) != math.Float64bits(wantSq) {
+							t.Fatalf("n=%d g=%v l2=%v special=%v: Step3NormSq = %x, reference = %x", n, g, l2, special, gotSq, wantSq)
+						}
+						Step3(g, lr, baseLR*l2, h, p, q)
+						for _, c := range []struct {
+							name      string
+							got, want []float64
+						}{{"h", h, wh}, {"p", p, wp}, {"q", q, wq}} {
+							if k := sameBits(c.got, c.want); k >= 0 {
+								t.Fatalf("n=%d g=%v l2=%v special=%v lr=%v: %s[%d] = %x, reference = %x",
+									n, g, l2, special, lr, c.name, k, c.got[k], c.want[k])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestStep3PanicsOnMismatch(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"Step3", func() { Step3(1, 1, 0, []float64{1, 2}, []float64{1, 2}, []float64{1}) }},
+		{"Step3NormSq", func() { Step3NormSq(1, []float64{1}, []float64{1, 2}, []float64{1}) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic on length mismatch", c.name)
+				}
+			}()
+			c.f()
+		}()
+	}
+}

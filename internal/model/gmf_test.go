@@ -245,3 +245,101 @@ func TestTrainOptionsRequireRand(t *testing.T) {
 	}()
 	m.TrainLocal(d, 0, TrainOptions{})
 }
+
+// refGMFTrainLocal is GMF.TrainLocal as written before the fused
+// mathx.Step3 kernel: per-step scratch gradients, the clip sum always
+// accumulated, then a separate update pass. It returns how many steps
+// the per-example clip scaled down.
+func refGMFTrainLocal(m *GMF, d *dataset.Dataset, u int, opt TrainOptions) (clipped int) {
+	opt = opt.withDefaults(gmfDefaultLR, gmfDefaultL2)
+	items := d.Train[u]
+	if len(items) == 0 {
+		return 0
+	}
+	dP, dQ, dH := make([]float64, m.dim), make([]float64, m.dim), make([]float64, m.dim)
+	step := func(item int, label float64) {
+		p := m.userEmb.Row(u)
+		q := m.itemEmb.Row(item)
+		g := mathx.Sigmoid(m.logit(p, item)) - label
+		var sq float64
+		for k := 0; k < m.dim; k++ {
+			dP[k] = g * m.h[k] * q[k]
+			dQ[k] = g * m.h[k] * p[k]
+			dH[k] = g * p[k] * q[k]
+			sq += dP[k]*dP[k] + dQ[k]*dQ[k] + dH[k]*dH[k]
+		}
+		sq += g * g
+		scale := 1.0
+		if opt.PerExampleClip > 0 {
+			norm := math.Sqrt(sq)
+			if norm > opt.PerExampleClip {
+				scale = opt.PerExampleClip / norm
+				clipped++
+			}
+		}
+		lr := opt.LR * scale
+		for k := 0; k < m.dim; k++ {
+			p[k] -= lr*dP[k] + opt.LR*opt.L2*p[k]
+			q[k] -= lr*dQ[k] + opt.LR*opt.L2*q[k]
+			m.h[k] -= lr * dH[k]
+		}
+		m.bias[0] -= lr * g
+		if opt.DriftTau > 0 {
+			ref := opt.DriftRef.Get(GMFItemEmb)
+			base := item * m.dim
+			mathx.DriftToward(opt.LR*2*opt.DriftTau, ref[base:base+m.dim], q)
+		}
+	}
+	order := make([]int, len(items))
+	copy(order, items)
+	for e := 0; e < opt.Epochs; e++ {
+		mathx.Shuffle(opt.Rand, order)
+		for _, pos := range order {
+			step(pos, 1)
+			for n := 0; n < opt.NegPerPos; n++ {
+				step(d.SampleNegative(opt.Rand, u), 0)
+			}
+		}
+	}
+	return clipped
+}
+
+// The fused training step must reproduce the two-pass step bit for bit
+// (the golden hashes are tolerance-0) with DP-SGD clipping and the
+// Share-less drift regularizer each on and off.
+func TestGMFTrainLocalMatchesTwoPassStep(t *testing.T) {
+	d := tinyDataset(t)
+	for _, dim := range []int{7, 16} {
+		for _, clip := range []float64{0, 0.3} {
+			for _, tau := range []float64{0, 0.5} {
+				got := NewGMF(d.NumUsers, d.NumItems, dim, 11)
+				want := got.Clone().(*GMF)
+				ref := got.Params().Clone()
+				opt := func(seed uint64) TrainOptions {
+					o := TrainOptions{Epochs: 2, PerExampleClip: clip, Rand: mathx.NewRand(seed)}
+					if tau > 0 {
+						o.DriftTau, o.DriftRef = tau, ref
+					}
+					return o
+				}
+				clipped := 0
+				for u := 0; u < 6; u++ {
+					got.TrainLocal(d, u, opt(uint64(u)))
+					clipped += refGMFTrainLocal(want, d, u, opt(uint64(u)))
+				}
+				if clip > 0 && clipped == 0 {
+					t.Fatalf("dim=%d clip=%v: clip never fired; the clipped path is untested", dim, clip)
+				}
+				for i := 0; i < got.Params().Len(); i++ {
+					ge, we := got.Params().At(i), want.Params().At(i)
+					for k := range ge.Data {
+						if math.Float64bits(ge.Data[k]) != math.Float64bits(we.Data[k]) {
+							t.Fatalf("dim=%d clip=%v tau=%v: %s[%d] = %x, two-pass step = %x",
+								dim, clip, tau, ge.Name, k, ge.Data[k], we.Data[k])
+						}
+					}
+				}
+			}
+		}
+	}
+}
